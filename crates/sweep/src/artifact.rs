@@ -5,7 +5,7 @@
 //! figure plus cache effectiveness — the end-to-end number), the
 //! **core_bench** section (`st bench` steady-state simulated
 //! instructions/sec — the hot-loop number), the **store_bench** section
-//! (`st bench --store` bulk-append and cold-load timings of the
+//! (`st bench --store` bulk-append and cold-start timings of the
 //! segment-log result store) and the **lane_bench** section (`st bench
 //! --lanes N` lane-vs-solo end-to-end sweep throughput plus the lane
 //! determinism gate). Each tool updates its own section *in place* and
@@ -57,7 +57,7 @@ pub struct ReproSection {
     pub cache_misses: u64,
     /// In-memory cache entries at the end of the run.
     pub cache_entries: u64,
-    /// Entries preloaded from the persistent cache.
+    /// Reports decoded from the result store (store hits).
     pub cache_loaded: u64,
     /// Hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,
@@ -109,7 +109,7 @@ pub struct StoreBenchSection {
     pub threads: u64,
     /// Host logical core count when the bench ran (0 = unknown).
     pub host_cores: u64,
-    /// Synthetic entries written and reloaded.
+    /// Synthetic entries written and indexed.
     pub entries: u64,
     /// On-disk bytes after the bulk append.
     pub file_bytes: u64,
@@ -117,9 +117,15 @@ pub struct StoreBenchSection {
     pub segments: u64,
     /// Seconds to append every entry (write-through path).
     pub write_seconds: f64,
-    /// Seconds for the cold reopen (one sequential pass).
+    /// Seconds for the cold index-only open (one sequential pass).
+    pub open_seconds: f64,
+    /// Decode-on-hit lookups timed after the open.
+    pub lookups: u64,
+    /// Seconds for those lookups.
+    pub lookup_seconds: f64,
+    /// Cold-start seconds: the open plus the lookups.
     pub load_seconds: f64,
-    /// Entries decoded per second during the cold load.
+    /// Entries indexed per second of cold start.
     pub load_entries_per_sec: f64,
 }
 
@@ -136,8 +142,11 @@ impl StoreBenchSection {
             file_bytes: result.file_bytes,
             segments: result.segments,
             write_seconds: result.write_seconds,
-            load_seconds: result.load_seconds,
-            load_entries_per_sec: result.entries as f64 / result.load_seconds.max(1e-9),
+            open_seconds: result.open_seconds,
+            lookups: result.lookups,
+            lookup_seconds: result.lookup_seconds,
+            load_seconds: result.load_seconds(),
+            load_entries_per_sec: result.entries as f64 / result.load_seconds().max(1e-9),
         }
     }
 }
@@ -390,7 +399,7 @@ fn render(
     }
     if let Some(s) = store {
         out.push_str(&format!(
-            ",\n  \"store_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"entries\": {},\n    \"file_bytes\": {},\n    \"segments\": {},\n    \"write_seconds\": {},\n    \"load_seconds\": {},\n    \"load_entries_per_sec\": {}\n  }}",
+            ",\n  \"store_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"entries\": {},\n    \"file_bytes\": {},\n    \"segments\": {},\n    \"write_seconds\": {},\n    \"open_seconds\": {},\n    \"lookups\": {},\n    \"lookup_seconds\": {},\n    \"load_seconds\": {},\n    \"load_entries_per_sec\": {}\n  }}",
             s.unix_time,
             s.lanes,
             s.threads,
@@ -399,6 +408,9 @@ fn render(
             s.file_bytes,
             s.segments,
             json_num(s.write_seconds),
+            json_num(s.open_seconds),
+            s.lookups,
+            json_num(s.lookup_seconds),
             json_num(s.load_seconds),
             json_num(s.load_entries_per_sec),
         ));
@@ -508,6 +520,10 @@ fn parse_store(json: &Json) -> Option<StoreBenchSection> {
         file_bytes: s.get("file_bytes")?.as_u64().ok()?,
         segments: s.get("segments")?.as_u64().ok()?,
         write_seconds: s.get("write_seconds")?.as_f64().ok()?,
+        // Absent in sections written before the store opened index-only.
+        open_seconds: s.get("open_seconds").and_then(|v| v.as_f64().ok()).unwrap_or(0.0),
+        lookups: env_u64(s, "lookups"),
+        lookup_seconds: s.get("lookup_seconds").and_then(|v| v.as_f64().ok()).unwrap_or(0.0),
         load_seconds: s.get("load_seconds")?.as_f64().ok()?,
         load_entries_per_sec: s.get("load_entries_per_sec")?.as_f64().ok()?,
     })
@@ -603,6 +619,9 @@ mod tests {
             file_bytes: 9_000_000,
             segments: 2,
             write_seconds: 0.8,
+            open_seconds: 0.15,
+            lookups: 1_000,
+            lookup_seconds: 0.05,
             load_seconds: 0.2,
             load_entries_per_sec: 100_000.0,
         }

@@ -9,10 +9,10 @@
 //! optimises, and the one CI tracks across commits.
 //!
 //! The suite doubles as a determinism gate: one probe point is simulated
-//! twice from scratch and round-tripped through a persistent-cache
-//! entry; any bit drift between the fresh runs or across the disk
-//! round-trip fails the bench (`st bench` exits non-zero), which is what
-//! the CI step relies on.
+//! twice from scratch and round-tripped through a result-store frame;
+//! any bit drift between the fresh runs or across the disk round-trip
+//! fails the bench (`st bench` exits non-zero), which is what the CI
+//! step relies on.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +21,6 @@ use st_core::{Experiment, SimReport, Simulator};
 
 use crate::job::JobSpec;
 use crate::logstore::LogStore;
-use crate::persist::PersistentCache;
 use crate::spec::experiment_by_id;
 
 /// One measured (workload × experiment) point.
@@ -361,12 +360,16 @@ pub fn run_lane_bench(config: &LaneBenchConfig) -> Result<LaneBenchResult, Strin
     })
 }
 
+/// Decode-on-hit lookups `st bench --store` times after the cold open:
+/// about what one `st repro --instr 2000` grid asks of a warm store.
+pub const STORE_BENCH_LOOKUPS: u64 = 1_000;
+
 /// Result of one `st bench --store` invocation: how fast the segment
-/// log absorbs a bulk append and how fast a cold reopen (the one
-/// sequential startup pass) decodes it back.
+/// log absorbs a bulk append, and how fast a cold start answers from it
+/// (the index-only open plus a fixed sample of decode-on-hit lookups).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreBenchResult {
-    /// Synthetic entries written and reloaded.
+    /// Synthetic entries written and indexed.
     pub entries: u64,
     /// On-disk bytes after the bulk append.
     pub file_bytes: u64,
@@ -374,23 +377,37 @@ pub struct StoreBenchResult {
     pub segments: u64,
     /// Seconds spent appending every entry.
     pub write_seconds: f64,
-    /// Seconds for the cold reopen-and-decode pass.
-    pub load_seconds: f64,
+    /// Seconds for the cold index-only open (every frame checksummed).
+    pub open_seconds: f64,
+    /// Lookups timed after the open, spread evenly over the entries.
+    pub lookups: u64,
+    /// Seconds for those lookups (positioned read, checksum, decode).
+    pub lookup_seconds: f64,
+}
+
+impl StoreBenchResult {
+    /// Cold-start seconds: the open plus the sampled lookups.
+    #[must_use]
+    pub fn load_seconds(&self) -> f64 {
+        self.open_seconds + self.lookup_seconds
+    }
 }
 
 /// Times the segment-log result store: appends `entries` synthetic
 /// reports (one real simulation, then per-entry field perturbation so
-/// every payload is distinct), drops the store, and cold-reopens it
-/// with [`LogStore::open_loading`] — the same single sequential pass
-/// `st repro` startup performs.
+/// every payload is distinct), drops the store, cold-reopens it with
+/// [`LogStore::open`] — the index-only pass every engine startup makes —
+/// and then decodes [`STORE_BENCH_LOOKUPS`] entries through
+/// [`LogStore::get`], checking each against what was written.
 ///
 /// # Errors
 ///
 /// Returns an error if the scratch directory cannot be prepared, an
-/// append fails, or the reload disagrees with what was written.
+/// append fails, or the reopened store disagrees with what was written.
 pub fn run_store_bench(entries: u64) -> Result<StoreBenchResult, String> {
     let spec = st_workloads::by_name("go").ok_or("store-bench workload `go` missing")?;
     let mut report = JobSpec::new(spec, 400).run();
+    let base_cycles = report.perf.cycles;
     let dir = std::env::temp_dir().join(format!("st-store-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let outcome = (|| {
@@ -406,19 +423,34 @@ pub fn run_store_bench(entries: u64) -> Result<StoreBenchResult, String> {
         let write_seconds = write_start.elapsed().as_secs_f64().max(1e-9);
         let stats = store.stats();
         drop(store);
-        let load_start = Instant::now();
-        let (reloaded, loaded) = LogStore::open_loading(&dir);
-        let load_seconds = load_start.elapsed().as_secs_f64().max(1e-9);
-        drop(reloaded);
-        if loaded.len() as u64 != entries {
-            return Err(format!("cold load found {} of {entries} entries", loaded.len()));
+        let open_start = Instant::now();
+        let reopened = LogStore::open(&dir);
+        let open_seconds = open_start.elapsed().as_secs_f64().max(1e-9);
+        if reopened.load_stats().entries != entries {
+            return Err(format!(
+                "cold open indexed {} of {entries} entries",
+                reopened.load_stats().entries
+            ));
         }
+        let lookups = STORE_BENCH_LOOKUPS.min(entries);
+        let step = entries / lookups.max(1);
+        let lookup_start = Instant::now();
+        for k in 0..lookups {
+            let fp = 1 + k * step;
+            let hit = reopened.get(fp).ok_or(format!("lookup of entry {fp} missed"))?;
+            if hit.perf.cycles != base_cycles.wrapping_add(fp) {
+                return Err(format!("entry {fp} decoded to the wrong report"));
+            }
+        }
+        let lookup_seconds = lookup_start.elapsed().as_secs_f64().max(1e-9);
         Ok(StoreBenchResult {
             entries,
             file_bytes: stats.file_bytes,
             segments: stats.segments,
             write_seconds,
-            load_seconds,
+            open_seconds,
+            lookups,
+            lookup_seconds,
         })
     })();
     // Clean up on every path so a failed run cannot poison a later
@@ -428,7 +460,8 @@ pub fn run_store_bench(entries: u64) -> Result<StoreBenchResult, String> {
 }
 
 /// Simulates one probe point twice from scratch and round-trips it
-/// through a persistent-cache entry; any bit drift is an error.
+/// through a result-store frame (append, cold reopen, decode on hit);
+/// any bit drift is an error.
 fn determinism_probe(budget: u64) -> Result<(), String> {
     let spec = st_workloads::by_name("go").ok_or("probe workload `go` missing")?;
     let job = JobSpec::new(spec, budget)
@@ -439,18 +472,15 @@ fn determinism_probe(budget: u64) -> Result<(), String> {
         return Err("fresh rerun diverged from first simulation".to_string());
     }
     let dir = std::env::temp_dir().join(format!("st-bench-determinism-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let outcome = (|| {
-        let cache = PersistentCache::new(&dir);
         let fp = job.fingerprint();
-        cache.store(fp, &fresh).map_err(|e| format!("cannot write probe cache entry: {e}"))?;
-        let loaded = cache
-            .load()
-            .into_iter()
-            .find(|(f, _)| *f == fp)
-            .map(|(_, r)| r)
-            .ok_or("probe cache entry unreadable after store")?;
+        LogStore::open(&dir)
+            .store(fp, &fresh)
+            .map_err(|e| format!("cannot write probe store frame: {e}"))?;
+        let loaded = LogStore::open(&dir).get(fp).ok_or("probe frame unreadable after store")?;
         if loaded != fresh {
-            return Err("persistent-cache round-trip altered the report".to_string());
+            return Err("result-store round-trip altered the report".to_string());
         }
         Ok(())
     })();
@@ -535,6 +565,8 @@ mod tests {
         assert!(r.file_bytes > 0);
         assert!(r.segments > 0);
         assert!(r.write_seconds > 0.0);
-        assert!(r.load_seconds > 0.0);
+        assert!(r.open_seconds > 0.0);
+        assert_eq!(r.lookups, 50, "a population below the sample is looked up whole");
+        assert!(r.load_seconds() >= r.open_seconds);
     }
 }

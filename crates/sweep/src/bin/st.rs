@@ -70,11 +70,12 @@
 //! st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
 //!     Measures steady-state simulated instructions/sec of the core hot
 //!     loop per workload × experiment, verifies determinism (fresh rerun
-//!     + persistent-cache round-trip) and updates BENCH_sweep.json's
+//!     + result-store round-trip) and updates BENCH_sweep.json's
 //!     core_bench section. Exits non-zero if determinism breaks. With
 //!     --store it instead times the segment-log result store (bulk
-//!     append + cold load of 1M synthetic entries; 20k with --smoke)
-//!     and updates the store_bench section.
+//!     append of 1M synthetic entries, 20k with --smoke, then a cold
+//!     start: index-only open plus 1,000 decode-on-hit lookups) and
+//!     updates the store_bench section.
 //!
 //! st plot <jsonl> --x <key> --y <metric>
 //!     Renders a cached sweep JSONL as ASCII bar charts (one per
@@ -102,27 +103,24 @@
 //! st list [workloads|experiments|figures|axes]
 //!     Shows what the other subcommands can reference.
 //!
-//! st cache [show|stats|migrate|compact|clear|clear-claims] [--out DIR]
+//! st cache [show|stats|compact|clear|clear-claims] [--out DIR]
 //! st cache evict --max-bytes N [--out DIR]
 //!     Manages the persistent result store. `show` (the default) lists
-//!     what is warm; `stats` prints live/dead byte counters; `migrate`
-//!     converts the legacy JSON directory (<out>/.cache) to the
-//!     append-only segment log (<out>/.store) with a verified bit-exact
-//!     round-trip; `compact` rewrites the segment log dropping dead
-//!     bytes; `evict` drops least-recently-used entries until the store
-//!     fits --max-bytes; `clear` removes every stored result;
-//!     `clear-claims` drops only the work-stealing claim files,
-//!     un-wedging a crashed `--steal` fleet without losing any cached
-//!     result.
+//!     what is warm; `stats` prints live/dead byte counters; `compact`
+//!     rewrites the segment log dropping dead bytes; `evict` drops
+//!     least-recently-used entries until the store fits --max-bytes;
+//!     `clear` removes every stored result; `clear-claims` drops only
+//!     the work-stealing claim files, un-wedging a crashed `--steal`
+//!     fleet without losing any cached result.
 //! ```
 //!
 //! `repro` and `run` keep a persistent result store under the output
-//! directory by default: the append-only segment log at `<out>/.store`
-//! if one exists, otherwise the legacy JSON directory `<out>/.cache`.
-//! Entries load on start and every fresh simulation writes through, so
-//! repeated invocations and CI runs reuse points across processes.
-//! `st cache migrate` switches a directory to the segment format;
-//! `--no-cache` opts a run out entirely.
+//! directory by default: the append-only segment log at `<out>/.store`.
+//! Its index is read on start, a report is decoded when a lookup hits
+//! it, and every fresh simulation writes through, so repeated
+//! invocations and CI runs reuse points across processes. A legacy
+//! JSON cache (`<out>/.cache/<fingerprint>.json`) is imported once when
+//! no `.store` exists yet. `--no-cache` opts a run out entirely.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -135,12 +133,9 @@ use st_sweep::emit::{sweep_jsonl_with_pairing, sweep_table, write_text};
 use st_sweep::figures::{FigureCtx, ALL_FIGURES};
 use st_sweep::fleet::{FleetConfig, FleetServer};
 use st_sweep::loadgen::{self, LoadgenConfig};
-use st_sweep::persist::{self, MigrateStats};
+use st_sweep::persist;
 use st_sweep::service::{self, ServiceConfig};
-use st_sweep::{
-    all_experiments, audit, axes, client, shard, AxisValue, PersistentCache, Store, SweepEngine,
-    SweepSpec,
-};
+use st_sweep::{all_experiments, audit, axes, client, shard, AxisValue, SweepEngine, SweepSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -197,7 +192,7 @@ USAGE:
              [--allow FILE]
     st calibrate [--seeds N] [--family NAME] [--csv PATH]
     st list [workloads|experiments|figures|axes]
-    st cache [show|stats|migrate|compact|clear|clear-claims] [--out DIR]
+    st cache [show|stats|compact|clear|clear-claims] [--out DIR]
     st cache evict --max-bytes N [--out DIR]
 
 OPTIONS:
@@ -251,7 +246,7 @@ OPTIONS:
     --smoke          `bench`/`loadgen`: small budgets for CI (`bench`
                      still runs the determinism probe)
     --store          `bench`: time the segment-log result store (bulk
-                     append + cold load) instead of the core hot loop
+                     append + cold start) instead of the core hot loop
     --x KEY          `plot`: x-axis record key (e.g. axis.ruu_size)
     --y KEY          `plot`: y-axis metric (e.g. ipc, speedup, energy_j)
     --min-confidence L
@@ -332,9 +327,10 @@ impl CommonOpts {
         self.out.clone().unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// The persistent cache directory under the output directory.
+    /// The directory work-stealing claims live under (also where a
+    /// legacy JSON cache is imported from).
     fn cache_dir(&self) -> PathBuf {
-        self.out_dir().join(".cache")
+        persist::legacy_dir(&self.out_dir())
     }
 
     /// Effective lane width (1 when `--lanes` was not given).
@@ -342,9 +338,8 @@ impl CommonOpts {
         self.lanes.unwrap_or(1)
     }
 
-    /// An engine honouring `--threads`, `--lanes` and `--no-cache`; picks
-    /// whichever result-store format is present under the output
-    /// directory.
+    /// An engine honouring `--threads`, `--lanes` and `--no-cache`,
+    /// backed by the result store under the output directory.
     fn engine(&self) -> SweepEngine {
         if self.no_cache {
             SweepEngine::new(self.threads).with_lanes(self.lane_width())
@@ -582,10 +577,9 @@ fn cmd_repro(args: &[String]) -> i32 {
     );
     match engine.result_store() {
         Some(store) => println!(
-            "st repro: result store ({}) at {} ({} entries loaded)\n",
-            store.kind(),
+            "st repro: result store (segment-log) at {} ({} entries indexed)\n",
             store.dir().display(),
-            engine.stats().loaded
+            engine.load_stats().entries
         ),
         None => println!("st repro: result store disabled (--no-cache)\n"),
     }
@@ -829,14 +823,16 @@ fn cmd_bench_lanes(opts: &CommonOpts) -> i32 {
 }
 
 /// `st bench --store`: times the segment-log result store itself — bulk
-/// append of N synthetic entries followed by a cold reopen (the one
-/// sequential startup pass) — and records the numbers in
+/// append of N synthetic entries followed by a cold start (the
+/// index-only open every engine makes, then a fixed sample of
+/// decode-on-hit lookups) — and records the numbers in
 /// BENCH_sweep.json's store_bench section.
 fn cmd_bench_store(opts: &CommonOpts) -> i32 {
     let entries: u64 = if opts.smoke { 20_000 } else { 1_000_000 };
     println!(
-        "st bench --store: {entries} synthetic entries (bulk append, then one cold \
-         sequential load)"
+        "st bench --store: {entries} synthetic entries (bulk append, then a cold start: \
+         index-only open + {} lookups)",
+        st_sweep::bench::STORE_BENCH_LOOKUPS.min(entries)
     );
     let result = match st_sweep::bench::run_store_bench(entries) {
         Ok(r) => r,
@@ -855,9 +851,14 @@ fn cmd_bench_store(opts: &CommonOpts) -> i32 {
         result.entries as f64 / result.write_seconds.max(1e-9)
     );
     println!(
-        "st bench --store: cold load (one sequential pass) in {:.2}s ({:.0} entries/s)",
-        result.load_seconds,
-        result.entries as f64 / result.load_seconds.max(1e-9)
+        "st bench --store: cold start in {:.3}s: index-only open {:.3}s ({:.0} entries/s), \
+         {} decode-on-hit lookups {:.4}s ({:.1} us each)",
+        result.load_seconds(),
+        result.open_seconds,
+        result.entries as f64 / result.open_seconds,
+        result.lookups,
+        result.lookup_seconds,
+        1e6 * result.lookup_seconds / result.lookups.max(1) as f64
     );
     let bench_json_path =
         opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
@@ -1665,10 +1666,10 @@ fn cmd_serve(args: &[String]) -> i32 {
     let engine = server.service().engine();
     match engine.result_store() {
         Some(store) => println!(
-            "st serve: result store ({}) at {} ({} entries loaded), {} simulation workers",
-            store.kind(),
+            "st serve: result store (segment-log) at {} ({} entries indexed), {} simulation \
+             workers",
             store.dir().display(),
-            engine.stats().loaded,
+            engine.load_stats().entries,
             server.service().workers()
         ),
         None => println!(
@@ -1980,23 +1981,24 @@ fn cmd_cache(args: &[String]) -> i32 {
     let out_dir = opts.out_dir();
     match action {
         None | Some("show") => {
-            // One sequential pass: entries for the breakdown, counters
-            // for the header — whichever format is on disk.
-            let (store, entries, load) = Store::open_loading(&out_dir);
+            // Index-only open, then one decode per entry through the
+            // lookup path: only one report is in memory at a time.
+            let store = persist::open_store(&out_dir);
             let s = store.stats();
             println!(
-                "result store ({}) at {}: {} entries ({} KiB live), {} skipped corrupt",
-                store.kind(),
+                "result store (segment-log) at {}: {} entries ({} KiB live), {} skipped corrupt",
                 store.dir().display(),
                 s.entries,
                 s.live_bytes / 1024,
-                load.skipped_corrupt
+                s.skipped_corrupt
             );
             // Per-experiment breakdown: what kinds of points are warm.
             let mut by_experiment: std::collections::BTreeMap<String, u64> =
                 std::collections::BTreeMap::new();
-            for (_, report) in entries {
-                *by_experiment.entry(report.experiment).or_default() += 1;
+            for fp in store.fingerprints() {
+                if let Some(report) = store.get(fp) {
+                    *by_experiment.entry(report.experiment).or_default() += 1;
+                }
             }
             if !by_experiment.is_empty() {
                 let parts: Vec<String> =
@@ -2010,9 +2012,9 @@ fn cmd_cache(args: &[String]) -> i32 {
             0
         }
         Some("stats") => {
-            let store = Store::open(&out_dir);
+            let store = persist::open_store(&out_dir);
             let s = store.stats();
-            println!("result store ({}) at {}:", store.kind(), store.dir().display());
+            println!("result store (segment-log) at {}:", store.dir().display());
             println!("  entries          {}", s.entries);
             println!("  live bytes       {}", s.live_bytes);
             println!("  dead bytes       {}", s.dead_bytes);
@@ -2023,23 +2025,14 @@ fn cmd_cache(args: &[String]) -> i32 {
             println!("  torn tail bytes  {}", s.torn_tail_bytes);
             println!("  evictions        {}", s.evictions);
             println!("  compactions      {}", s.compactions);
-            if matches!(store, Store::Json(_)) {
-                println!(
-                    "  (legacy JSON format: no compaction or eviction; convert with `st cache \
-                     migrate`)"
-                );
-            }
             0
         }
-        Some("migrate") => match persist::migrate(&out_dir) {
-            Ok(MigrateStats { migrated, skipped_corrupt, bytes }) => {
+        Some("compact") => match persist::open_store(&out_dir).compact() {
+            Ok(c) => {
                 println!(
-                    "st cache migrate: {} entries ({} KiB) now in the segment log at {} \
-                     (round-trip verified byte-exact), {} corrupt entries left behind",
-                    migrated,
-                    bytes / 1024,
-                    Store::log_dir(&out_dir).display(),
-                    skipped_corrupt
+                    "st cache compact: {} live records rewritten, {} -> {} bytes \
+                     ({} corrupt frames dropped)",
+                    c.live_records, c.before_bytes, c.after_bytes, c.dropped_corrupt
                 );
                 0
             }
@@ -2048,30 +2041,12 @@ fn cmd_cache(args: &[String]) -> i32 {
                 1
             }
         },
-        Some("compact") => {
-            let store = Store::open(&out_dir);
-            match store.compact() {
-                Ok(c) => {
-                    println!(
-                        "st cache compact: {} live records rewritten, {} -> {} bytes \
-                         ({} corrupt frames dropped)",
-                        c.live_records, c.before_bytes, c.after_bytes, c.dropped_corrupt
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("st cache: {e}");
-                    1
-                }
-            }
-        }
         Some("evict") => {
             let Some(max) = opts.max_bytes else {
                 eprintln!("st cache evict: --max-bytes N is required\n{USAGE}");
                 return 2;
             };
-            let store = Store::open(&out_dir);
-            match store.evict_to_budget(max) {
+            match persist::open_store(&out_dir).evict_to_budget(max) {
                 Ok(ev) => {
                     println!(
                         "st cache evict: {} entries ({} bytes) evicted; store is {} bytes \
@@ -2087,25 +2062,20 @@ fn cmd_cache(args: &[String]) -> i32 {
             }
         }
         Some("clear") => {
-            // Both formats can coexist transiently (e.g. fresh JSON
-            // entries written by an old binary next to a migrated
-            // store); clear removes every stored result regardless.
-            let mut removed: u64 = 0;
-            let log_dir = Store::log_dir(&out_dir);
-            if log_dir.is_dir() {
-                let s = st_sweep::LogStore::open(&log_dir);
-                removed += s.stats().entries;
-                drop(s);
-                if let Err(e) = std::fs::remove_dir_all(&log_dir) {
-                    eprintln!("st cache: could not clear {}: {e}", log_dir.display());
+            // Legacy JSON entries go too: left behind, they would be
+            // imported again into the next fresh store.
+            let store_dir = persist::store_dir(&out_dir);
+            let mut removed = st_sweep::LogStore::open(&store_dir).stats().entries;
+            if let Err(e) = std::fs::remove_dir_all(&store_dir) {
+                if e.kind() != std::io::ErrorKind::NotFound {
+                    eprintln!("st cache: could not clear {}: {e}", store_dir.display());
                     return 1;
                 }
             }
-            let cache = PersistentCache::new(Store::json_dir(&out_dir));
-            match cache.clear() {
+            match persist::remove_legacy_entries(&out_dir) {
                 Ok(n) => removed += n,
                 Err(e) => {
-                    eprintln!("st cache: could not clear {}: {e}", cache.dir().display());
+                    eprintln!("st cache: could not clear {}: {e}", opts.cache_dir().display());
                     return 1;
                 }
             }
@@ -2134,8 +2104,8 @@ fn cmd_cache(args: &[String]) -> i32 {
         }
         Some(other) => {
             eprintln!(
-                "st cache: unknown action `{other}` (try `show`, `stats`, `migrate`, `compact`, \
-                 `evict`, `clear` or `clear-claims`)"
+                "st cache: unknown action `{other}` (try `show`, `stats`, `compact`, `evict`, \
+                 `clear` or `clear-claims`)"
             );
             2
         }

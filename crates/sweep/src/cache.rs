@@ -57,7 +57,23 @@ impl ResultCache {
     /// Looks up a fingerprint, counting a hit or a miss.
     #[must_use]
     pub fn get(&self, fingerprint: u64) -> Option<Arc<SimReport>> {
-        let found = self.map.lock().expect("cache poisoned").get(&fingerprint).cloned();
+        self.get_or_load(fingerprint, || None)
+    }
+
+    /// Looks up a fingerprint, falling back to `load` (the on-disk
+    /// result store) on a miss; a loaded report joins the cache and
+    /// counts as a hit. `load` runs without the cache lock held.
+    pub fn get_or_load(
+        &self,
+        fingerprint: u64,
+        load: impl FnOnce() -> Option<SimReport>,
+    ) -> Option<Arc<SimReport>> {
+        let cached = self.map.lock().expect("cache poisoned").get(&fingerprint).cloned();
+        let found = cached.or_else(|| {
+            let report = Arc::new(load()?);
+            self.insert(fingerprint, Arc::clone(&report));
+            Some(report)
+        });
         match found {
             Some(r) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -79,20 +95,6 @@ impl ResultCache {
     /// Stores a freshly simulated report.
     pub fn insert(&self, fingerprint: u64, report: Arc<SimReport>) {
         self.map.lock().expect("cache poisoned").insert(fingerprint, report);
-    }
-
-    /// Seeds the cache with entries loaded from elsewhere (the
-    /// persistent on-disk cache) without touching the hit/miss counters,
-    /// returning how many were newly added.
-    pub fn preload(&self, entries: impl IntoIterator<Item = (u64, Arc<SimReport>)>) -> u64 {
-        let mut map = self.map.lock().expect("cache poisoned");
-        let mut added = 0;
-        for (fp, report) in entries {
-            if map.insert(fp, report).is_none() {
-                added += 1;
-            }
-        }
-        added
     }
 
     /// Current counters.
@@ -121,16 +123,15 @@ mod tests {
     }
 
     #[test]
-    fn preload_seeds_without_counting() {
+    fn get_or_load_counts_a_loaded_report_as_a_hit() {
         let cache = ResultCache::new();
         let r = dummy_report();
-        assert_eq!(cache.preload([(7, Arc::clone(&r)), (9, Arc::clone(&r))]), 2);
-        assert_eq!(cache.preload([(7, Arc::clone(&r))]), 0, "already present");
+        assert!(cache.get_or_load(7, || None).is_none(), "nothing to load: a miss");
+        let loaded = cache.get_or_load(7, || Some((*r).clone())).expect("loaded");
+        assert_eq!(*loaded, *r);
+        assert!(cache.get_or_load(7, || panic!("cached now: no second load")).is_some());
         let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!((stats.hits, stats.misses), (0, 0), "preload is not a lookup");
-        assert!(cache.get(7).is_some());
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     #[test]

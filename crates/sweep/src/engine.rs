@@ -4,7 +4,8 @@
 //! reports *in submission order*. Internally it:
 //!
 //! 1. fingerprints every job and answers what it can from the
-//!    [`ResultCache`];
+//!    [`ResultCache`], falling back to the on-disk result store (a hit
+//!    there is decoded once and joins the cache);
 //! 2. dedups identical points submitted in the same batch;
 //! 3. shards the remaining unique points across a worker pool (a shared
 //!    atomic work index over a fixed job list — no channels, no locks on
@@ -26,15 +27,17 @@ use st_core::SimReport;
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::JobSpec;
-use crate::logstore::LoadStats;
-use crate::persist::{PersistentCache, Store};
+use crate::logstore::{LoadStats, LogStore};
 
 /// Aggregate execution counters of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Simulations actually executed (cache misses).
     pub simulated: u64,
-    /// Entries preloaded from the persistent on-disk cache.
+    /// Reports decoded from the on-disk result store (each one a lookup
+    /// that hit the store after missing the in-memory cache). Opening
+    /// the store decodes nothing, so this starts at 0; the number of
+    /// entries indexed at open is [`SweepEngine::load_stats`].
     pub loaded: u64,
     /// Cache counters (hits include batch-level dedup).
     pub cache: CacheStats,
@@ -47,9 +50,8 @@ pub struct SweepEngine {
     lanes: usize,
     cache: ResultCache,
     simulated: AtomicU64,
-    loaded: u64,
-    load_stats: LoadStats,
-    persist: Option<Store>,
+    loaded: AtomicU64,
+    store: Option<LogStore>,
 }
 
 impl SweepEngine {
@@ -67,9 +69,8 @@ impl SweepEngine {
             lanes: 1,
             cache: ResultCache::new(),
             simulated: AtomicU64::new(0),
-            loaded: 0,
-            load_stats: LoadStats::default(),
-            persist: None,
+            loaded: AtomicU64::new(0),
+            store: None,
         }
     }
 
@@ -89,60 +90,32 @@ impl SweepEngine {
         SweepEngine::new(0)
     }
 
-    /// An engine backed by the legacy JSON cache directory at `dir`
-    /// (conventionally `results/.cache/`): every readable entry is
-    /// preloaded into the in-memory cache, and every freshly simulated
-    /// point is written through, so repeated invocations reuse points
-    /// across processes. Prefer [`SweepEngine::with_result_store`],
-    /// which auto-detects the on-disk format from the output directory.
-    #[must_use]
-    pub fn with_persistent_cache(threads: usize, dir: impl AsRef<Path>) -> SweepEngine {
-        let cache = PersistentCache::new(dir.as_ref());
-        let (entries, summary) = cache.load_with_summary();
-        let stats = LoadStats {
-            entries: summary.entries,
-            skipped_corrupt: summary.skipped_corrupt,
-            ..LoadStats::default()
-        };
-        SweepEngine::assemble(threads, Store::Json(cache), entries, stats)
-    }
-
-    /// An engine backed by the result store under `out_dir`, in
-    /// whichever on-disk format is present: the append-only segment log
-    /// at `<out>/.store/` if it exists, else the legacy JSON directory
-    /// at `<out>/.cache/` (see [`Store::open`]). Every live entry is
-    /// preloaded in one sequential pass and every freshly simulated
-    /// point is written through.
+    /// An engine backed by the segment-log result store at
+    /// `<out>/.store/` (see [`crate::persist::open_store`], which also
+    /// imports a legacy `<out>/.cache/` once). The store is opened
+    /// index-only; a report is decoded when a lookup first hits it, and
+    /// every freshly simulated point is written through, so repeated
+    /// invocations reuse points across processes.
     #[must_use]
     pub fn with_result_store(threads: usize, out_dir: impl AsRef<Path>) -> SweepEngine {
-        let (store, entries, stats) = Store::open_loading(out_dir.as_ref());
-        SweepEngine::assemble(threads, store, entries, stats)
-    }
-
-    fn assemble(
-        threads: usize,
-        store: Store,
-        entries: Vec<(u64, SimReport)>,
-        stats: LoadStats,
-    ) -> SweepEngine {
         let mut engine = SweepEngine::new(threads);
-        engine.loaded = engine.cache.preload(entries.into_iter().map(|(fp, r)| (fp, Arc::new(r))));
-        engine.load_stats = stats;
-        engine.persist = Some(store);
+        engine.store = Some(crate::persist::open_store(out_dir.as_ref()));
         engine
     }
 
-    /// The result store this engine writes through to, if any.
+    /// The result store this engine reads from and writes through to,
+    /// if any.
     #[must_use]
-    pub fn result_store(&self) -> Option<&Store> {
-        self.persist.as_ref()
+    pub fn result_store(&self) -> Option<&LogStore> {
+        self.store.as_ref()
     }
 
-    /// What the startup load of the result store found (corrupt entries
-    /// skipped, torn tails truncated, …). All zeros without a store.
+    /// What opening the result store found (entries indexed, corrupt
+    /// entries skipped, torn tails truncated, …). All zeros without a
+    /// store.
     #[must_use]
     pub fn load_stats(&self) -> LoadStats {
-        self.load_stats
+        self.store.as_ref().map(LogStore::load_stats).unwrap_or_default()
     }
 
     /// Worker-pool size.
@@ -162,7 +135,7 @@ impl SweepEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             simulated: self.simulated.load(Ordering::Relaxed),
-            loaded: self.loaded,
+            loaded: self.loaded.load(Ordering::Relaxed),
             cache: self.cache.stats(),
         }
     }
@@ -199,7 +172,7 @@ impl SweepEngine {
                         self.cache.count_dedup_hit();
                         return Slot::Fresh(idx);
                     }
-                    None => self.cache.get(fp),
+                    None => self.cache.get_or_load(fp, || self.decode(fp)),
                 } {
                     return Slot::Done(hit);
                 }
@@ -259,12 +232,12 @@ impl SweepEngine {
             .collect();
         for ((fp, _), report) in fresh.iter().zip(&finished) {
             self.cache.insert(*fp, Arc::clone(report));
-            if let Some(persist) = &self.persist {
-                if let Err(e) = persist.store(*fp, report) {
+            if let Some(store) = &self.store {
+                if let Err(e) = store.store(*fp, report) {
                     eprintln!(
                         "warning: could not persist {:016x} under {}: {e}",
                         fp,
-                        persist.dir().display()
+                        store.dir().display()
                     );
                 }
             }
@@ -276,6 +249,14 @@ impl SweepEngine {
                 Slot::Fresh(i) => Arc::clone(&finished[i]),
             })
             .collect()
+    }
+
+    /// Decodes one report from the result store, if it holds a verified
+    /// frame for `fp`.
+    fn decode(&self, fp: u64) -> Option<SimReport> {
+        let report = self.store.as_ref()?.get(fp)?;
+        self.loaded.fetch_add(1, Ordering::Relaxed);
+        Some(report)
     }
 
     /// Packs fresh-point indices into lane chunks: points sharing a
@@ -343,25 +324,38 @@ mod tests {
         assert_eq!(stats.cache.hits, 2);
     }
 
+    /// Writes `report` as a legacy `<out>/.cache/<fp>.json` entry.
+    fn write_legacy(out: &Path, fp: u64, report: &SimReport) {
+        let dir = crate::persist::legacy_dir(out);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("{fp:016x}.json")), crate::persist::report_to_json(report))
+            .unwrap();
+    }
+
     #[test]
     fn persistent_cache_survives_engine_restarts() {
         let dir = std::env::temp_dir().join(format!("st-engine-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let first = SweepEngine::with_persistent_cache(2, &dir);
-        assert_eq!(first.stats().loaded, 0, "cold start");
+        let first = SweepEngine::with_result_store(2, &dir);
+        assert_eq!(first.load_stats().entries, 0, "cold start");
         let out1 = first.run(&[job(7), job(8)]);
         assert_eq!(first.stats().simulated, 2);
 
-        // A brand-new engine (a new process, conceptually) preloads both
-        // points and serves them without simulating.
-        let second = SweepEngine::with_persistent_cache(2, &dir);
-        assert_eq!(second.stats().loaded, 2);
+        // A brand-new engine (a new process, conceptually) indexes both
+        // points, decodes them on their first lookup and serves them
+        // without simulating.
+        let second = SweepEngine::with_result_store(2, &dir);
+        assert_eq!(second.load_stats().entries, 2);
+        assert_eq!(second.stats().loaded, 0, "opening decodes nothing");
         let out2 = second.run(&[job(7), job(8)]);
         let stats = second.stats();
         assert_eq!(stats.simulated, 0, "everything came from disk");
-        assert_eq!(stats.cache.hits, 2);
+        assert_eq!((stats.cache.hits, stats.cache.misses), (2, 0));
+        assert_eq!(stats.loaded, 2, "one decode per store hit");
         assert_eq!(out1, out2, "disk round-trip is bit-exact");
+        let _ = second.run(&[job(7)]);
+        assert_eq!(second.stats().loaded, 2, "a repeat lookup is served from memory");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -370,42 +364,62 @@ mod tests {
     fn result_store_serves_a_migrated_segment_store_identically() {
         let out = std::env::temp_dir().join(format!("st-engine-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
+        let fresh = SweepEngine::new(2).run(&[job(17), job(18)]);
 
-        // Seed through the default (legacy JSON) format...
+        // A legacy JSON cache is imported into the segment log on open...
+        write_legacy(&out, job(17).fingerprint(), &fresh[0]);
+        write_legacy(&out, job(18).fingerprint(), &fresh[1]);
         let first = SweepEngine::with_result_store(2, &out);
-        assert_eq!(first.result_store().map(Store::kind), Some("json-dir"));
+        assert_eq!(first.load_stats().entries, 2);
         let out1 = first.run(&[job(17), job(18)]);
-        assert_eq!(first.stats().simulated, 2);
+        assert_eq!(first.stats().simulated, 0, "everything came from the imported store");
+        assert_eq!(first.stats().loaded, 2);
+        assert_eq!(out1, fresh, "the import is observationally invisible");
 
-        // ...convert in place, and the same constructor now preloads
-        // the segment log with bit-identical reports.
-        crate::persist::migrate(&out).expect("migrate");
+        // ...and write-through appends to the log and survives a restart.
+        let _ = first.run(&[job(19)]);
         let second = SweepEngine::with_result_store(2, &out);
-        assert_eq!(second.result_store().map(Store::kind), Some("segment-log"));
-        assert_eq!(second.stats().loaded, 2);
-        let out2 = second.run(&[job(17), job(18)]);
-        assert_eq!(second.stats().simulated, 0, "everything came from the segment log");
-        assert_eq!(out1, out2, "migration is observationally invisible");
-
-        // Write-through appends to the log and survives another restart.
-        let _ = second.run(&[job(19)]);
-        let third = SweepEngine::with_result_store(2, &out);
-        assert_eq!(third.stats().loaded, 3);
+        assert_eq!(second.load_stats().entries, 3);
 
         let _ = std::fs::remove_dir_all(&out);
     }
 
     #[test]
     fn corrupt_legacy_entries_are_skipped_and_counted() {
-        let dir = std::env::temp_dir().join(format!("st-engine-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let first = SweepEngine::with_persistent_cache(2, &dir);
-        let _ = first.run(&[job(30), job(31)]);
-        std::fs::write(dir.join(format!("{:016x}.json", 0x5555u64)), "{torn").unwrap();
-        let second = SweepEngine::with_persistent_cache(2, &dir);
-        assert_eq!(second.stats().loaded, 2, "good entries still load");
-        assert_eq!(second.load_stats().skipped_corrupt, 1, "bad entry skipped and counted");
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = std::env::temp_dir().join(format!("st-engine-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let reports = SweepEngine::new(2).run(&[job(30), job(31)]);
+        write_legacy(&out, job(30).fingerprint(), &reports[0]);
+        write_legacy(&out, job(31).fingerprint(), &reports[1]);
+        std::fs::write(
+            crate::persist::legacy_dir(&out).join(format!("{:016x}.json", 0x5555u64)),
+            "{torn",
+        )
+        .unwrap();
+        let engine = SweepEngine::with_result_store(2, &out);
+        assert_eq!(engine.load_stats().entries, 2, "good entries still load");
+        assert_eq!(engine.load_stats().skipped_corrupt, 1, "bad entry skipped and counted");
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn a_frame_damaged_after_open_is_resimulated_not_decoded() {
+        let out = std::env::temp_dir().join(format!("st-engine-tamper-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let expected = SweepEngine::with_result_store(1, &out).run(&[job(40)]);
+        let engine = SweepEngine::with_result_store(1, &out);
+        assert_eq!(engine.load_stats().entries, 1);
+        // Flip a payload byte after the index was built.
+        let seg = crate::persist::store_dir(&out).join("seg-0.log");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let n = bytes.len();
+        bytes[n - 2] ^= 0x01;
+        std::fs::write(&seg, &bytes).unwrap();
+        let got = engine.run(&[job(40)]);
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.loaded, stats.cache.misses), (1, 0, 1));
+        assert_eq!(got, expected, "the re-simulated report is the true one");
+        let _ = std::fs::remove_dir_all(&out);
     }
 
     #[test]

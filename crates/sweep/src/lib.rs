@@ -17,15 +17,16 @@
 //!   fingerprint-keyed [`ResultCache`] simulates each distinct point
 //!   exactly once per engine lifetime. Thread count cannot influence any
 //!   result bit;
-//! * **[`persist`]** — the on-disk result store behind a format
-//!   abstraction ([`persist::Store`]): the legacy JSON directory
-//!   (`results/.cache/<fingerprint>.json`) or the append-only segment
-//!   log in **[`logstore`]** (`results/.store/seg-<n>.log`, with
-//!   crash-safe recovery, compaction and LRU size-budget eviction;
-//!   `st cache migrate` converts in place with a proven bit-exact
-//!   round-trip). [`SweepEngine::with_result_store`] preloads whichever
-//!   format is present and writes fresh points through, so repeated
-//!   invocations reuse work across processes;
+//! * **[`logstore`]** — the on-disk result store: an append-only
+//!   segment log (`results/.store/seg-<n>.log`) with crash-safe
+//!   recovery, compaction and LRU size-budget eviction, opened
+//!   index-only and decoded on hit. [`SweepEngine::with_result_store`]
+//!   falls back to it on every in-memory cache miss and writes fresh
+//!   points through, so repeated invocations reuse work across
+//!   processes;
+//! * **[`persist`]** — the exact report ↔ JSON codec the store's frames
+//!   carry, plus a one-shot read-only import of the legacy
+//!   one-file-per-fingerprint cache (`results/.cache/<fingerprint>.json`);
 //! * **[`SweepSpec`]** — a declarative workload × experiment × axis grid
 //!   (`axis.<name>` keys with legacy aliases), buildable in code or
 //!   parsed from a small TOML/JSON document;
@@ -82,7 +83,7 @@
 //!   loop and gates determinism, `st plot` charts cached JSONL,
 //!   `st audit` turns a sweep (JSONL or spec) into gateable findings,
 //!   `st list` shows what is available and `st cache` inspects,
-//!   migrates, compacts and size-bounds the result store.
+//!   compacts and size-bounds the result store.
 //!
 //! ## Example
 //!
@@ -136,7 +137,6 @@ pub use fleet::{Fleet, FleetConfig, FleetServer};
 pub use job::{EstimatorChoice, JobSpec};
 pub use loadgen::{LoadgenConfig, LoadgenResult};
 pub use logstore::{LoadStats, LogStore, StoreStats};
-pub use persist::{PersistentCache, Store};
 pub use service::{Server, ServiceConfig, SweepService};
 pub use shard::{ClaimDir, ShardError, ShardPlan};
 pub use spec::{all_experiments, experiment_by_id, SpecError, SweepPoint, SweepSpec};

@@ -1,12 +1,14 @@
 //! The append-only segment-log result store: `results/.store/seg-<n>.log`.
 //!
-//! The legacy [`PersistentCache`](crate::PersistentCache) keeps one JSON
-//! file per fingerprint — fine at hundreds of entries, hopeless at the
-//! 10⁴–10⁵-point grids larger sweeps produce (inode churn, a full
-//! directory scan on every start, no eviction policy). [`LogStore`]
-//! replaces the directory with a handful of append-only segment files
-//! and an in-memory fingerprint → (segment, offset) index rebuilt by
-//! **one sequential read** per segment at startup.
+//! The only on-disk result store. [`LogStore`] keeps a handful of
+//! append-only segment files and an in-memory fingerprint → (segment,
+//! offset) index rebuilt by **one sequential read** per segment at
+//! startup. Opening decodes nothing: every frame is checksummed during
+//! the scan, but a report is parsed only when a lookup hits it
+//! ([`LogStore::get`] reads just that frame back with one positioned
+//! read, re-verifies its checksum, then decodes). Startup time and
+//! resident memory therefore scale with the index, not with the
+//! reports, and decode work scales with hits.
 //!
 //! ## On-disk format
 //!
@@ -17,18 +19,21 @@
 //! [u32 payload_len LE][u8 kind][u64 fingerprint LE][u64 checksum LE][payload]
 //! ```
 //!
-//! `kind` is 0 for a put (payload = the exact bit-exact
-//! [`report_to_json`] line the JSON cache would have written) or 1 for a
-//! tombstone (empty payload, records an eviction). `checksum` is the
-//! same FNV-1a 64 the shard files use, folded over `kind ‖ fingerprint ‖
-//! payload` — every byte of a frame is covered, so any single-byte
-//! tamper is detected at load. Later frames supersede earlier ones for
-//! the same fingerprint (last-wins), which is what makes blind appends
-//! safe.
+//! `kind` is 0 for a put (payload = the bit-exact [`report_to_json`]
+//! line) or 1 for a tombstone (empty payload, records an eviction).
+//! `checksum` is the same FNV-1a 64 the shard files use, folded over
+//! `kind ‖ fingerprint ‖ payload` — every byte of a frame is covered, so
+//! any single-byte tamper is detected at open, and again on every read.
+//! Later frames supersede earlier ones for the same fingerprint
+//! (last-wins), which is what makes blind appends safe. Each frame goes
+//! to disk as one `O_APPEND` write and its index offset is read back
+//! from the file position, so several processes (a `st shard` worker
+//! fleet) may append to one store at once; a process that creates a
+//! segment skips any id another process already took.
 //!
 //! ## Recovery posture
 //!
-//! Loading never panics and never trusts damaged bytes:
+//! Opening never panics and never trusts damaged bytes:
 //!
 //! * a **torn tail** (crash mid-append) in the newest segment is
 //!   detected, physically truncated back to the last committed frame,
@@ -37,7 +42,10 @@
 //!   the framed length when possible, abandoning the segment's remainder
 //!   when not) and counted in [`LoadStats::skipped_corrupt`];
 //! * a segment with a damaged header is ignored wholesale (and swept up
-//!   by the next compaction).
+//!   by the next compaction);
+//! * a frame damaged **after** the scan is caught by the checksum
+//!   [`LogStore::get`] re-verifies: the lookup is a miss, never a
+//!   mangled report.
 //!
 //! ## Compaction and eviction
 //!
@@ -51,7 +59,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -86,8 +95,7 @@ impl Default for LogStoreConfig {
     }
 }
 
-/// What one startup scan found (the segment store's load stats; the
-/// legacy JSON directory maps its summary onto the same shape).
+/// What one startup scan found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
     /// Live entries indexed after last-wins/tombstone resolution.
@@ -96,7 +104,8 @@ pub struct LoadStats {
     /// fingerprint (dead weight a compaction would reclaim).
     pub superseded: u64,
     /// Corrupt frames or segments skipped (checksum mismatch, mangled
-    /// framing, version skew) — detected, counted, never trusted.
+    /// framing, bad segment header), plus legacy entries an import
+    /// skipped — detected, counted, never trusted.
     pub skipped_corrupt: u64,
     /// Bytes physically truncated from a torn tail in the newest
     /// segment (a crash mid-append; recovery keeps the committed
@@ -108,8 +117,6 @@ pub struct LoadStats {
 /// and the service's `GET /status`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreStats {
-    /// `"segment-log"` or `"json-dir"`.
-    pub kind: &'static str,
     /// Live (indexed) entries.
     pub entries: u64,
     /// Bytes of live frames (payloads plus their frame headers).
@@ -118,11 +125,11 @@ pub struct StoreStats {
     pub dead_bytes: u64,
     /// Total bytes of all segment files on disk.
     pub file_bytes: u64,
-    /// Number of segment files (0 for the legacy JSON directory).
+    /// Number of segment files.
     pub segments: u64,
-    /// Corrupt entries skipped at load.
+    /// Corrupt entries skipped at open (and in a legacy import).
     pub skipped_corrupt: u64,
-    /// Torn-tail bytes truncated at load.
+    /// Torn-tail bytes truncated at open.
     pub torn_tail_bytes: u64,
     /// Entries evicted over this store handle's lifetime.
     pub evictions: u64,
@@ -238,9 +245,12 @@ impl Drop for PinGuard<'_> {
 }
 
 impl LogStore {
-    /// Opens (or creates) the store at `dir`, rebuilding the index with
-    /// one sequential read per segment. Damage is recovered per the
-    /// module docs — this never fails and never panics on bad bytes.
+    /// Opens the store at `dir`, rebuilding the index with one
+    /// sequential read per segment and verifying every frame's checksum
+    /// — but decoding no report. Damage is recovered per the module
+    /// docs; this never fails and never panics on bad bytes. A missing
+    /// `dir` is an empty store: nothing is created until the first
+    /// append.
     #[must_use]
     pub fn open(dir: impl Into<PathBuf>) -> LogStore {
         LogStore::open_with_config(dir, LogStoreConfig::default())
@@ -249,45 +259,15 @@ impl LogStore {
     /// [`LogStore::open`] with explicit tuning knobs.
     #[must_use]
     pub fn open_with_config(dir: impl Into<PathBuf>, config: LogStoreConfig) -> LogStore {
-        LogStore::open_impl(dir.into(), config, false).0
-    }
-
-    /// Opens the store *and* decodes every live report in the same
-    /// single sequential pass (what the engine preload wants). Entries
-    /// whose payload no longer parses (version skew) stay indexed but
-    /// are not returned, counted in [`LoadStats::skipped_corrupt`].
-    /// The reports come back sorted by fingerprint.
-    #[must_use]
-    pub fn open_loading(dir: impl Into<PathBuf>) -> (LogStore, Vec<(u64, SimReport)>) {
-        LogStore::open_loading_with_config(dir, LogStoreConfig::default())
-    }
-
-    /// [`LogStore::open_loading`] with explicit tuning knobs.
-    #[must_use]
-    pub fn open_loading_with_config(
-        dir: impl Into<PathBuf>,
-        config: LogStoreConfig,
-    ) -> (LogStore, Vec<(u64, SimReport)>) {
-        LogStore::open_impl(dir.into(), config, true)
-    }
-
-    fn open_impl(
-        dir: PathBuf,
-        config: LogStoreConfig,
-        parse: bool,
-    ) -> (LogStore, Vec<(u64, SimReport)>) {
+        let dir = dir.into();
         let mut inner = Inner::default();
-        let mut reports: HashMap<u64, SimReport> = HashMap::new();
         let ids = list_segments(&dir);
         let last = ids.last().copied();
         for &id in &ids {
-            scan_segment(&dir, id, Some(id) == last, &mut inner, parse.then_some(&mut reports));
+            scan_segment(&dir, id, Some(id) == last, &mut inner);
         }
         inner.load.entries = inner.index.len() as u64;
-        let store = LogStore { dir, config, inner: Mutex::new(inner) };
-        let mut loaded: Vec<(u64, SimReport)> = reports.into_iter().collect();
-        loaded.sort_by_key(|(fp, _)| *fp);
-        (store, loaded)
+        LogStore { dir, config, inner: Mutex::new(inner) }
     }
 
     /// The store directory.
@@ -307,11 +287,19 @@ impl LogStore {
         self.append(KIND_PUT, fingerprint, report_to_json(report).as_bytes())
     }
 
-    /// Appends a pre-encoded payload verbatim — the migration path, so
-    /// the exact bytes of a legacy JSON entry become the frame payload
-    /// and byte-identity is provable.
+    /// Appends a pre-encoded payload verbatim — the legacy import path,
+    /// so the exact bytes of a legacy JSON entry become the frame
+    /// payload and byte-identity is provable.
     pub(crate) fn append_raw(&self, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
         self.append(KIND_PUT, fingerprint, payload)
+    }
+
+    /// Folds a finished legacy import into the load stats: what it
+    /// appended counts as indexed, what it skipped as corrupt.
+    pub(crate) fn note_import(&self, skipped_corrupt: u64) {
+        let mut inner = self.inner.lock().expect("logstore lock");
+        inner.load.entries = inner.index.len() as u64;
+        inner.load.skipped_corrupt += skipped_corrupt;
     }
 
     fn append(&self, kind: u8, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
@@ -319,23 +307,51 @@ impl LogStore {
         append_locked(&self.dir, self.config, &mut inner, kind, fingerprint, payload)
     }
 
-    /// Reads one live entry's payload bytes straight from its segment,
-    /// re-verifying the checksum. `None` if the fingerprint is not live
-    /// or the bytes no longer verify.
+    /// The decode-on-hit lookup: reads the fingerprint's frame back
+    /// from disk, re-verifies its checksum and decodes the report.
+    /// `None` if the fingerprint is not live, its bytes no longer verify
+    /// (damaged since the scan), or the payload does not decode
+    /// (version skew) — a miss either way, never a mangled report.
+    #[must_use]
+    pub fn get(&self, fingerprint: u64) -> Option<SimReport> {
+        let payload = self.raw_payload(fingerprint)?;
+        report_from_json(std::str::from_utf8(&payload).ok()?).ok()
+    }
+
+    /// Reads one live entry's payload bytes with a single positioned
+    /// read of just its frame, re-verifying the checksum. `None` if the
+    /// fingerprint is not live or the bytes no longer verify. The read
+    /// happens under the store lock, so a concurrent compaction cannot
+    /// move the frame from under it.
     #[must_use]
     pub fn raw_payload(&self, fingerprint: u64) -> Option<Vec<u8>> {
-        let (path, offset, len) = {
+        let mut frame = {
             let inner = self.inner.lock().expect("logstore lock");
             let e = inner.index.get(&fingerprint)?;
-            (segment_path(&self.dir, e.seg), e.offset, e.len)
+            let mut frame = vec![0u8; FRAME_HEADER_BYTES as usize + e.len as usize];
+            File::open(segment_path(&self.dir, e.seg))
+                .and_then(|f| f.read_exact_at(&mut frame, e.offset))
+                .ok()?;
+            frame
         };
-        let buf = std::fs::read(path).ok()?;
-        let start = usize::try_from(offset).ok()?;
-        let frame = buf.get(start..start + (FRAME_HEADER_BYTES as usize + len as usize))?;
-        match parse_frame(frame, 0) {
-            FrameOutcome::Record { fp, payload, .. } if fp == fingerprint => Some(payload.to_vec()),
+        match parse_frame(&frame, 0) {
+            FrameOutcome::Record { kind: KIND_PUT, fp, frame_len, .. }
+                if fp == fingerprint && frame_len == frame.len() =>
+            {
+                frame.drain(..FRAME_HEADER_BYTES as usize);
+                Some(frame)
+            }
             _ => None,
         }
+    }
+
+    /// Every live fingerprint, ascending.
+    #[must_use]
+    pub fn fingerprints(&self) -> Vec<u64> {
+        let mut fps: Vec<u64> =
+            self.inner.lock().expect("logstore lock").index.keys().copied().collect();
+        fps.sort_unstable();
+        fps
     }
 
     /// Marks fingerprints as recently used, so steady working sets are
@@ -370,7 +386,6 @@ impl LogStore {
         let file: u64 = inner.segs.values().sum();
         let headers = SEGMENT_HEADER_BYTES * inner.segs.len() as u64;
         StoreStats {
-            kind: "segment-log",
             entries: inner.index.len() as u64,
             live_bytes: live,
             dead_bytes: file.saturating_sub(live + headers),
@@ -530,13 +545,7 @@ fn parse_frame(buf: &[u8], off: usize) -> FrameOutcome<'_> {
 /// One sequential scan of a segment, indexing its frames into `inner`.
 /// `is_last` selects the recovery posture: the newest segment truncates
 /// its torn tail; sealed segments skip damage and keep going.
-fn scan_segment(
-    dir: &Path,
-    id: u64,
-    is_last: bool,
-    inner: &mut Inner,
-    mut reports: Option<&mut HashMap<u64, SimReport>>,
-) {
+fn scan_segment(dir: &Path, id: u64, is_last: bool, inner: &mut Inner) {
     let path = segment_path(dir, id);
     let Ok(buf) = std::fs::read(&path) else {
         eprintln!("logstore: cannot read {}; ignoring segment", path.display());
@@ -582,30 +591,8 @@ fn scan_segment(
                     if inner.index.insert(fp, entry).is_some() {
                         inner.load.superseded += 1;
                     }
-                    if let Some(map) = reports.as_deref_mut() {
-                        match std::str::from_utf8(payload)
-                            .map_err(|_| ())
-                            .and_then(|t| report_from_json(t).map_err(|_| ()))
-                        {
-                            Ok(report) => {
-                                map.insert(fp, report);
-                            }
-                            Err(()) => {
-                                // Checksum-valid but unparsable (version
-                                // skew): stays indexed byte-preserving,
-                                // is not served.
-                                map.remove(&fp);
-                                inner.load.skipped_corrupt += 1;
-                            }
-                        }
-                    }
-                } else {
-                    if inner.index.remove(&fp).is_some() {
-                        inner.load.superseded += 1;
-                    }
-                    if let Some(map) = reports.as_deref_mut() {
-                        map.remove(&fp);
-                    }
+                } else if inner.index.remove(&fp).is_some() {
+                    inner.load.superseded += 1;
                 }
                 off += frame_len;
             }
@@ -682,21 +669,28 @@ fn append_locked(
     }
     let frame = encode_frame(kind, fp, payload);
     let active = inner.active.as_mut().expect("active segment");
-    if let Err(e) = active.file.write_all(&frame) {
-        // The tail may now hold a partial frame; stop trusting this
-        // segment (the next open's torn-tail recovery will repair it)
-        // and refresh its size from disk for accounting.
-        let path = segment_path(dir, active.id);
-        let id = active.id;
-        inner.active = None;
-        inner.appendable = None;
-        if let Ok(meta) = std::fs::metadata(&path) {
-            inner.segs.insert(id, meta.len());
+    // One `O_APPEND` write lands the whole frame at the current end of
+    // file, even when another process appends to the same segment; the
+    // file position afterwards says where it went.
+    let written = active.file.write_all(&frame).and_then(|()| active.file.stream_position());
+    let end = match written {
+        Ok(end) => end,
+        Err(e) => {
+            // The tail may now hold a partial frame; stop trusting this
+            // segment (the next open's torn-tail recovery will repair it)
+            // and refresh its size from disk for accounting.
+            let path = segment_path(dir, active.id);
+            let id = active.id;
+            inner.active = None;
+            inner.appendable = None;
+            if let Ok(meta) = std::fs::metadata(&path) {
+                inner.segs.insert(id, meta.len());
+            }
+            return Err(e);
         }
-        return Err(e);
-    }
-    active.bytes += frame.len() as u64;
-    let (id, bytes) = (active.id, active.bytes);
+    };
+    active.bytes = end;
+    let (id, bytes) = (active.id, end);
     inner.segs.insert(id, bytes);
     inner.appendable = Some(id);
     if kind == KIND_PUT {
@@ -714,14 +708,27 @@ fn append_locked(
     Ok(())
 }
 
-/// Creates the next segment file (header only) and registers it.
+/// `MAGIC` + version, written in one call so a concurrent scan never
+/// sees half a header.
+fn segment_header() -> [u8; SEGMENT_HEADER_BYTES as usize] {
+    let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header
+}
+
+/// Creates the next segment file (header only) and registers it,
+/// skipping ids another process created since this one scanned.
 fn create_segment(dir: &Path, inner: &mut Inner) -> std::io::Result<ActiveSeg> {
     std::fs::create_dir_all(dir)?;
-    let id = inner.segs.keys().next_back().map_or(0, |m| m + 1);
-    let path = segment_path(dir, id);
-    let mut file = OpenOptions::new().create_new(true).write(true).open(&path)?;
-    file.write_all(&MAGIC)?;
-    file.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    let mut id = inner.segs.keys().next_back().map_or(0, |m| m + 1);
+    let mut file = loop {
+        match OpenOptions::new().create_new(true).append(true).open(segment_path(dir, id)) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => id += 1,
+            opened => break opened?,
+        }
+    };
+    file.write_all(&segment_header())?;
     inner.segs.insert(id, SEGMENT_HEADER_BYTES);
     Ok(ActiveSeg { id, file, bytes: SEGMENT_HEADER_BYTES })
 }
@@ -743,8 +750,7 @@ fn compact_locked(dir: &Path, inner: &mut Inner) -> std::io::Result<CompactStats
     std::fs::create_dir_all(dir)?;
     let tmp = dir.join(format!("seg-{new_id}.log.tmp"));
     let mut out = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
-    out.write_all(&MAGIC)?;
-    out.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    out.write_all(&segment_header())?;
     let mut offset = SEGMENT_HEADER_BYTES;
     let mut new_index: HashMap<u64, Entry> = HashMap::with_capacity(live.len());
     let mut dropped = 0u64;
@@ -805,6 +811,11 @@ mod tests {
         dir
     }
 
+    /// Every live entry decoded through the lookup path, by fingerprint.
+    fn load_all(store: &LogStore) -> Vec<(u64, SimReport)> {
+        store.fingerprints().into_iter().filter_map(|fp| Some((fp, store.get(fp)?))).collect()
+    }
+
     #[test]
     fn frame_hash_matches_the_shard_fnv() {
         let payload = b"the same constants as job::fnv1a64";
@@ -824,7 +835,8 @@ mod tests {
             store.store(20, &b).unwrap();
             store.store(10, &c).unwrap(); // supersedes `a`
         }
-        let (store, loaded) = LogStore::open_loading(&dir);
+        let store = LogStore::open(&dir);
+        let loaded = load_all(&store);
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0], (10, c.clone()));
         assert_eq!(loaded[1], (20, b.clone()));
@@ -849,8 +861,8 @@ mod tests {
         assert_eq!(stats.entries, 12);
         assert!(stats.segments > 1, "small target must roll: {stats:?}");
         drop(store);
-        let (reopened, loaded) = LogStore::open_loading_with_config(&dir, config);
-        assert_eq!(loaded.len(), 12);
+        let reopened = LogStore::open_with_config(&dir, config);
+        assert_eq!(load_all(&reopened).len(), 12);
         assert_eq!(reopened.stats().segments, stats.segments);
         // And appends continue in the scanned tail segment.
         reopened.store(100, &report(100)).unwrap();
@@ -886,8 +898,7 @@ mod tests {
         // The store still accepts appends and survives reopen.
         store.store(99, &report(99)).unwrap();
         drop(store);
-        let (_, loaded) = LogStore::open_loading(&dir);
-        assert_eq!(loaded.len(), 7);
+        assert_eq!(load_all(&LogStore::open(&dir)).len(), 7);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -960,15 +971,14 @@ mod tests {
             SEGMENT_HEADER_BYTES as usize + FRAME_HEADER_BYTES as usize + report_to_json(&a).len();
         // Tear the file mid-way through the second record.
         std::fs::write(&seg, &full[..after_first + 5]).unwrap();
-        let (store, loaded) = LogStore::open_loading(&dir);
-        assert_eq!(loaded, vec![(1, a)]);
+        let store = LogStore::open(&dir);
+        assert_eq!(load_all(&store), vec![(1, a)]);
         assert_eq!(store.load_stats().torn_tail_bytes, 5);
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), after_first as u64);
         // The truncated segment accepts appends again.
         store.store(3, &report(3)).unwrap();
         drop(store);
-        let (_, reloaded) = LogStore::open_loading(&dir);
-        assert_eq!(reloaded.len(), 2);
+        assert_eq!(load_all(&LogStore::open(&dir)).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -991,8 +1001,8 @@ mod tests {
         let n = bytes.len();
         bytes[n - 10] ^= 0x40;
         std::fs::write(&seg, &bytes).unwrap();
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
-        let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
+        let store = LogStore::open_with_config(&dir, config);
+        let fps: Vec<u64> = load_all(&store).iter().map(|(fp, _)| *fp).collect();
         assert_eq!(fps, vec![2, 3], "damaged record skipped, neighbours kept");
         assert_eq!(store.load_stats().skipped_corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1015,7 +1025,8 @@ mod tests {
         std::fs::write(&seg1, &bytes).unwrap();
         // A stale compaction temp file is swept at open.
         std::fs::write(dir.join("seg-9.log.tmp"), b"leftover").unwrap();
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+        let store = LogStore::open_with_config(&dir, config);
+        let loaded = load_all(&store);
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].0, 2);
         assert_eq!(store.load_stats().skipped_corrupt, 1);
@@ -1023,6 +1034,69 @@ mod tests {
         store.compact().unwrap();
         assert!(!seg1.exists(), "compaction sweeps the corrupt segment");
         assert_eq!(store.stats().entries, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lookups_decode_only_frames_that_still_verify() {
+        let dir = tmp_dir("reverify");
+        let (a, b) = (report(1), report(2));
+        let store = LogStore::open(&dir);
+        store.store(1, &a).unwrap();
+        store.store(2, &b).unwrap();
+        assert_eq!(store.get(1), Some(a.clone()));
+        // Flip the last payload byte of record 2 behind the index's back.
+        let seg = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let n = bytes.len();
+        bytes[n - 3] ^= 0x20;
+        std::fs::write(&seg, &bytes).unwrap();
+        assert_eq!(store.get(2), None, "a frame damaged after the scan is a miss");
+        assert_eq!(store.raw_payload(2), None);
+        assert_eq!(store.get(1), Some(a), "its neighbour still reads back");
+        assert_eq!(store.get(3), None, "unknown fingerprint");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_same_fingerprint_stores_leave_one_valid_entry() {
+        // Two handles on one directory stand in for two processes (a
+        // `st shard` fleet); each is shared by threads (the service).
+        // Racing appends — to one fingerprint and to disjoint ones —
+        // must leave only complete, verifiable frames, and each
+        // handle's index must point at its own frames.
+        let dir = tmp_dir("race");
+        let (a, b) = (report(10), report(11));
+        assert_ne!(report_to_json(&a), report_to_json(&b), "distinct payloads");
+        LogStore::open(&dir).store(1, &a).unwrap(); // both handles adopt seg-0
+        let handles = [LogStore::open(&dir), LogStore::open(&dir)];
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let (store, a, b) = (&handles[(t % 2) as usize], &a, &b);
+                scope.spawn(move || {
+                    for i in 0..25u64 {
+                        let r = if (t + i) % 2 == 0 { a } else { b };
+                        store.store(0xfeed, r).expect("racing store");
+                        store.store(0x1000 + t * 100 + i, r).expect("disjoint store");
+                    }
+                });
+            }
+        });
+        for (h, store) in handles.iter().enumerate() {
+            for t in (h as u64..8).step_by(2) {
+                for i in 0..25u64 {
+                    let want = if (t + i) % 2 == 0 { &a } else { &b };
+                    assert_eq!(store.get(0x1000 + t * 100 + i).as_ref(), Some(want));
+                }
+            }
+        }
+        drop(handles);
+        let store = LogStore::open(&dir);
+        let load = store.load_stats();
+        assert_eq!((load.skipped_corrupt, load.torn_tail_bytes), (0, 0), "no torn writes");
+        assert_eq!(load.entries, 2 + 8 * 25, "every fingerprint indexed once");
+        let winner = store.get(0xfeed).expect("raced entry");
+        assert!(winner == a || winner == b, "entry is one complete report");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

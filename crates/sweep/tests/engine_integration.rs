@@ -3,9 +3,12 @@
 //! 1. **Determinism** — results are bit-identical for 1 vs N worker
 //!    threads (fixed per-job seeds; assembly by submission order);
 //! 2. **Memoisation** — a configuration point repeated across sweeps is
-//!    simulated once and served from the content-hashed cache after.
+//!    simulated once and served from the content-hashed cache after,
+//!    across processes through the on-disk result store (including a
+//!    legacy JSON cache it imports).
 
-use st_sweep::{JobSpec, SweepEngine, SweepSpec};
+use st_sweep::persist::report_to_json;
+use st_sweep::{emit, JobSpec, SweepEngine, SweepSpec};
 
 const N: u64 = 3_000;
 
@@ -111,18 +114,19 @@ fn axis_spec_runs_end_to_end_and_reuses_the_persistent_cache() {
 
     let dir = std::env::temp_dir().join(format!("st-it-axes-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let first = SweepEngine::with_persistent_cache(4, &dir);
+    let first = SweepEngine::with_result_store(4, &dir);
     let out1 = first.run(&jobs);
     // gating_threshold only distinguishes A7 points: BASE and C2 dedup
     // across the two threshold values (8 + 8 + 16 points -> 16 unique).
     assert_eq!(first.stats().simulated, 16);
 
     // A fresh engine (new process, conceptually) serves the whole grid
-    // from disk, bit-identically.
-    let second = SweepEngine::with_persistent_cache(4, &dir);
-    assert_eq!(second.stats().loaded, 16);
+    // from disk, bit-identically, decoding each distinct point once.
+    let second = SweepEngine::with_result_store(4, &dir);
+    assert_eq!(second.load_stats().entries, 16);
     let out2 = second.run(&jobs);
     assert_eq!(second.stats().simulated, 0, "fully served from the persistent cache");
+    assert_eq!(second.stats().loaded, 16);
     assert!(second.stats().cache.hit_rate() > 0.9, "acceptance: >90% hits on the second run");
     assert_eq!(out1, out2, "disk round-trip must be bit-exact");
     let _ = std::fs::remove_dir_all(&dir);
@@ -151,4 +155,50 @@ fn declarative_spec_runs_end_to_end() {
     assert!(reports[2].perf.cycles > 0);
     assert_eq!(reports[0].experiment, "BASE");
     assert_eq!(reports[1].experiment, "C2");
+}
+
+#[test]
+fn a_legacy_json_cache_is_imported_read_only_and_serves_every_point() {
+    let spec = SweepSpec::parse(
+        r#"
+        name = "it-legacy"
+        workloads = ["go", "parser"]
+        experiments = ["C2", "A7"]
+        instructions = 2_000
+        "#,
+    )
+    .expect("valid spec");
+    let points = spec.points().expect("grid");
+    let jobs: Vec<JobSpec> = points.iter().map(|p| p.job.clone()).collect();
+    let cold = SweepEngine::new(2).run(&jobs);
+    let cold_jsonl = emit::sweep_jsonl(&points, &cold);
+
+    // What an older version left behind: one JSON file per fingerprint
+    // next to the work-stealing claims directory.
+    let out = std::env::temp_dir().join(format!("st-it-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let legacy = out.join(".cache");
+    let claim = legacy.join("claims").join("it-legacy-0000").join("3");
+    std::fs::create_dir_all(claim.parent().expect("claim dir")).expect("mkdir");
+    std::fs::write(&claim, b"").expect("claim file");
+    let mut files = Vec::new();
+    for (job, report) in jobs.iter().zip(&cold) {
+        let path = legacy.join(format!("{:016x}.json", job.fingerprint()));
+        std::fs::write(&path, report_to_json(report)).expect("legacy entry");
+        files.push((path, report_to_json(report)));
+    }
+
+    let engine = SweepEngine::with_result_store(2, &out);
+    let warm = engine.run(&jobs);
+    let stats = engine.stats();
+    assert_eq!(stats.simulated, 0, "every point came from the import");
+    assert_eq!(stats.cache.hit_rate(), 1.0);
+    assert_eq!(emit::sweep_jsonl(&points, &warm), cold_jsonl, "byte-identical JSONL");
+    drop(engine);
+
+    for (path, text) in &files {
+        assert_eq!(&std::fs::read_to_string(path).expect("legacy entry kept"), text);
+    }
+    assert!(claim.exists(), "claims untouched");
+    let _ = std::fs::remove_dir_all(&out);
 }

@@ -6,7 +6,9 @@
 //! * a torn tail (simulated at *every* byte boundary of the file)
 //!   recovers to exactly the committed prefix;
 //! * any single-byte tamper is detected — what loads is a strict,
-//!   byte-identical subset of what was written;
+//!   byte-identical subset of what was written — whether it happened
+//!   before the store was opened (the scan catches it) or after the
+//!   index was built (the lookup's re-verification catches it);
 //! * arbitrary record sets round-trip byte-identically across reopens,
 //!   and stay byte-identical for the survivors of any eviction order.
 
@@ -35,6 +37,12 @@ fn report_for(seed: u64) -> SimReport {
     let mut r = base.clone();
     r.perf.cycles = r.perf.cycles.wrapping_add(seed);
     r
+}
+
+/// Every live entry decoded through the decode-on-hit lookup path,
+/// ascending by fingerprint.
+fn load_all(store: &LogStore) -> Vec<(u64, SimReport)> {
+    store.fingerprints().into_iter().filter_map(|fp| Some((fp, store.get(fp)?))).collect()
 }
 
 /// A throwaway store directory unique to this test and case.
@@ -82,7 +90,8 @@ fn torn_tail_recovers_the_committed_prefix_at_every_byte_boundary() {
     let cut_seg = cut_dir.join("seg-0.log");
     for cut in SEGMENT_HEADER_BYTES as usize..=pristine.len() {
         std::fs::write(&cut_seg, &pristine[..cut]).expect("write cut copy");
-        let (store, loaded) = LogStore::open_loading(&cut_dir);
+        let store = LogStore::open(&cut_dir);
+        let loaded = load_all(&store);
         // Records whose frame is entirely below the cut survive.
         let committed = boundaries.iter().skip(1).filter(|&&end| end as usize <= cut).count();
         let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
@@ -138,7 +147,8 @@ proptest! {
         buf[pos] ^= tamper_xor;
         std::fs::write(&seg, &buf).expect("write tampered segment");
 
-        let (store, loaded) = LogStore::open_loading(&dir);
+        let store = LogStore::open(&dir);
+        let loaded = load_all(&store);
         prop_assert!(
             (loaded.len() as u64) < records,
             "a tampered byte at {pos} must lose at least one record"
@@ -156,6 +166,45 @@ proptest! {
             stats.skipped_corrupt + stats.torn_tail_bytes > 0,
             "damage must be visible in the load counters"
         );
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Any single-byte change inside a frame made *after* the index was
+    /// built is caught when that frame is read: its lookup is a miss
+    /// (the engine then re-simulates the point), never a decode of the
+    /// damaged bytes, and every other record still reads back intact.
+    #[test]
+    fn a_tamper_after_open_is_caught_on_read(
+        records in 1u64..=4,
+        tamper_pos in any::<u64>(),
+        tamper_xor in 1u8..=255,
+    ) {
+        let dir = scratch_dir(&format!("late-tamper-{records}"));
+        let seg = dir.join("seg-0.log");
+        let mut ends = vec![SEGMENT_HEADER_BYTES];
+        let store = LogStore::open(&dir);
+        for seed in 1..=records {
+            store.store(seed, &report_for(seed)).expect("append");
+            ends.push(std::fs::metadata(&seg).expect("segment exists").len());
+        }
+        let mut buf = std::fs::read(&seg).expect("read segment");
+        let frames = buf.len() as u64 - SEGMENT_HEADER_BYTES;
+        let pos = SEGMENT_HEADER_BYTES + tamper_pos % frames;
+        buf[pos as usize] ^= tamper_xor;
+        std::fs::write(&seg, &buf).expect("write tampered segment");
+        // Record `k` owns the frame bytes ends[k-1]..ends[k].
+        let hit = (1..=records).find(|&k| pos < ends[k as usize]).expect("inside a frame");
+        for seed in 1..=records {
+            let got = store.get(seed);
+            if seed == hit {
+                prop_assert!(got.is_none(), "tampered record {} must be a miss", seed);
+                prop_assert!(store.raw_payload(seed).is_none());
+            } else {
+                let got = got.expect("untouched record reads back");
+                prop_assert_eq!(report_to_json(&got), report_to_json(&report_for(seed)));
+            }
+        }
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -184,7 +233,8 @@ proptest! {
                 store.store(seed, &report_for(seed)).expect("append");
             }
         }
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+        let store = LogStore::open_with_config(&dir, config);
+        let loaded = load_all(&store);
         prop_assert_eq!(loaded.len(), records);
         let mut frame_bytes = std::collections::HashMap::new();
         for (fp, report) in &loaded {
@@ -208,7 +258,8 @@ proptest! {
         store.evict_to_budget(budget).expect("evict");
         drop(store);
 
-        let (store, reloaded) = LogStore::open_loading_with_config(&dir, config);
+        let store = LogStore::open_with_config(&dir, config);
+        let reloaded = load_all(&store);
         let mut expected: Vec<u64> = survivors.clone();
         expected.sort_unstable();
         let fps: Vec<u64> = reloaded.iter().map(|(fp, _)| *fp).collect();
