@@ -1,4 +1,4 @@
-//! Design-choice ablations called out in DESIGN.md (clock-gating style,
+//! Design-choice ablations of the reproduction (clock-gating style,
 //! estimator training asymmetry, Pipeline Gating threshold), submitted
 //! to the `st-sweep` engine as batched grids.
 //!

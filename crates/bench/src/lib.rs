@@ -1,7 +1,7 @@
 //! # st-bench — the experiment harness
 //!
 //! Shared machinery for the binaries that regenerate every table and
-//! figure of the paper (see DESIGN.md §4 for the index):
+//! figure of the paper:
 //!
 //! | binary | regenerates |
 //! |---|---|

@@ -16,10 +16,10 @@
 //! counters, used by the Pipeline Gating baseline) and
 //! [`SaturatingEstimator`], the BPRU-style tagged table the paper uses for
 //! Selective Throttling. The paper's BPRU derives its signal from a value
-//! predictor; we train the same 3-bit up/down counters on per-context
-//! misprediction history instead (see DESIGN.md §2), and reproduce the §4.3
-//! fallback: on a table miss, a *weak* underlying-predictor counter means
-//! low confidence.
+//! predictor; the simulator models no value predictor, so we train the
+//! same 3-bit up/down counters on per-context misprediction history
+//! instead, and reproduce the §4.3 fallback: on a table miss, a *weak*
+//! underlying-predictor counter means low confidence.
 
 use st_isa::Pc;
 
@@ -98,22 +98,6 @@ impl std::fmt::Display for Confidence {
 pub trait ConfidenceEstimator: std::fmt::Debug + Send {
     /// Confidence in the prediction `pred` for the branch at `pc`.
     fn estimate(&self, pc: Pc, history: u64, pred: Prediction) -> Confidence;
-
-    /// Estimates confidence for the branch at `pc` under each
-    /// `(history, prediction)` query, appending one level per query to
-    /// `out` in input order — the lane-tier lookup shape (one static
-    /// branch, N per-lane contexts).
-    ///
-    /// The default implementation loops [`ConfidenceEstimator::estimate`];
-    /// table-based estimators override it to compute the PC part of the
-    /// index once. Overrides must stay bit-identical to the default
-    /// (pinned by the bundle equivalence tests).
-    fn estimate_bundle(&self, pc: Pc, queries: &[(u64, Prediction)], out: &mut Vec<Confidence>) {
-        out.reserve(queries.len());
-        for &(h, p) in queries {
-            out.push(self.estimate(pc, h, p));
-        }
-    }
 
     /// Trains the estimator with the resolved prediction correctness.
     fn update(&mut self, pc: Pc, history: u64, pred: Prediction, correct: bool);
@@ -194,18 +178,6 @@ impl ConfidenceEstimator for JrsEstimator {
         } else {
             Confidence::Low
         }
-    }
-
-    fn estimate_bundle(&self, pc: Pc, queries: &[(u64, Prediction)], out: &mut Vec<Confidence>) {
-        let folded = pc.addr() >> 2;
-        out.extend(queries.iter().map(|&(h, _)| {
-            let h = if self.use_history { h } else { 0 };
-            if self.table[((folded ^ h) & self.mask) as usize].value() >= self.threshold {
-                Confidence::High
-            } else {
-                Confidence::Low
-            }
-        }));
     }
 
     fn update(&mut self, pc: Pc, history: u64, _pred: Prediction, correct: bool) {
@@ -361,27 +333,6 @@ impl ConfidenceEstimator for SaturatingEstimator {
         }
     }
 
-    fn estimate_bundle(&self, pc: Pc, queries: &[(u64, Prediction)], out: &mut Vec<Confidence>) {
-        if self.cfg.use_history {
-            // Context-sensitive keys differ per lane; probe per query.
-            out.reserve(queries.len());
-            for &(h, p) in queries {
-                out.push(self.estimate(pc, h, p));
-            }
-        } else {
-            // History-blind key: one tag probe serves every lane; only
-            // each lane's weak bit varies the outcome.
-            let (set, tag) = self.key(pc, 0);
-            let table = self.find(set, tag).map(|i| Confidence::from_counter3(self.entries[i].ctr));
-            out.extend(queries.iter().map(|&(_, pred)| match table {
-                Some(t) if self.cfg.merge_weak && pred.weak => t.max(Confidence::Low),
-                Some(t) => t,
-                None if pred.weak => Confidence::Low,
-                None => Confidence::High,
-            }));
-        }
-    }
-
     fn update(&mut self, pc: Pc, history: u64, _pred: Prediction, correct: bool) {
         self.tick += 1;
         let (set, tag) = self.key(pc, history);
@@ -501,50 +452,6 @@ mod tests {
         assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::High);
         jrs.update(pc, 0, STRONG, false);
         assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::Low);
-    }
-
-    #[test]
-    fn bundle_estimates_match_scalar_loop() {
-        // The overridden bundle paths must be bit-identical to looping
-        // `estimate` — the property the lane tier leans on.
-        let mut ests: Vec<Box<dyn ConfidenceEstimator>> = vec![
-            Box::new(JrsEstimator::new(1024, 12)),
-            Box::new(JrsEstimator::new(1024, 12).with_history_indexing()),
-            Box::new(SaturatingEstimator::new(SaturatingConfig::paper_default())),
-            Box::new(SaturatingEstimator::new(SaturatingConfig {
-                use_history: true,
-                merge_weak: true,
-                ..SaturatingConfig::paper_default()
-            })),
-            Box::new(AlwaysLow),
-            Box::new(AlwaysHigh),
-        ];
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for e in &mut ests {
-            for _ in 0..2_000 {
-                let pc = Pc(0x40_0000 + (next() % 64) * 4);
-                let h = next() & 0xfff;
-                let pred = if next() % 4 == 0 { WEAK } else { STRONG };
-                e.update(pc, h, pred, next() % 3 > 0);
-            }
-            for _ in 0..32 {
-                let pc = Pc(0x40_0000 + (next() % 64) * 4);
-                let queries: Vec<(u64, Prediction)> = (0..8)
-                    .map(|_| (next() & 0xfff, if next() % 2 == 0 { WEAK } else { STRONG }))
-                    .collect();
-                let scalar: Vec<Confidence> =
-                    queries.iter().map(|&(h, p)| e.estimate(pc, h, p)).collect();
-                let mut bundled = Vec::new();
-                e.estimate_bundle(pc, &queries, &mut bundled);
-                assert_eq!(scalar, bundled, "{} bundle diverged from scalar", e.name());
-            }
-        }
     }
 
     #[test]

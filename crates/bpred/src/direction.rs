@@ -29,23 +29,6 @@ pub trait DirectionPredictor: std::fmt::Debug + Send {
     /// Predicts the direction of the branch at `pc` under `history`.
     fn predict(&self, pc: Pc, history: u64) -> Prediction;
 
-    /// Predicts the branch at `pc` under each history in `histories`,
-    /// appending one prediction per history to `out` in input order — the
-    /// lane-tier lookup shape, where N sweep points decode the same static
-    /// branch but sit at different history contexts.
-    ///
-    /// The default implementation loops [`DirectionPredictor::predict`].
-    /// Table-based predictors override it to fold the PC into the index
-    /// term once and fan the per-lane histories out over it; overrides
-    /// must stay bit-identical to the default (pinned by the bundle
-    /// equivalence tests).
-    fn predict_bundle(&self, pc: Pc, histories: &[u64], out: &mut Vec<Prediction>) {
-        out.reserve(histories.len());
-        for &h in histories {
-            out.push(self.predict(pc, h));
-        }
-    }
-
     /// Trains the predictor with the resolved outcome. `predicted_taken` is
     /// the direction that was predicted for this instance (needed by
     /// chooser-based predictors).
@@ -134,15 +117,6 @@ impl DirectionPredictor for Gshare {
         Prediction { taken: c.taken(), weak: c.is_weak() }
     }
 
-    fn predict_bundle(&self, pc: Pc, histories: &[u64], out: &mut Vec<Prediction>) {
-        // Fold the PC once; only the XOR with each lane's history varies.
-        let folded = pc.addr() >> 2;
-        out.extend(histories.iter().map(|&h| {
-            let c = &self.table[((folded ^ h) & self.mask) as usize];
-            Prediction { taken: c.taken(), weak: c.is_weak() }
-        }));
-    }
-
     fn update(&mut self, pc: Pc, history: u64, taken: bool, _predicted_taken: bool) {
         let idx = self.index(pc, history);
         self.table[idx].train(taken);
@@ -195,13 +169,6 @@ impl DirectionPredictor for Bimodal {
     fn predict(&self, pc: Pc, _history: u64) -> Prediction {
         let c = &self.table[self.index(pc)];
         Prediction { taken: c.taken(), weak: c.is_weak() }
-    }
-
-    fn predict_bundle(&self, pc: Pc, histories: &[u64], out: &mut Vec<Prediction>) {
-        // History-blind: one counter read serves every lane.
-        let c = &self.table[self.index(pc)];
-        let p = Prediction { taken: c.taken(), weak: c.is_weak() };
-        out.extend(std::iter::repeat_n(p, histories.len()));
     }
 
     fn update(&mut self, pc: Pc, _history: u64, taken: bool, _predicted_taken: bool) {
@@ -416,42 +383,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn gshare_rejects_non_power_of_two() {
         let _ = Gshare::new(1000);
-    }
-
-    #[test]
-    fn bundle_predictions_match_scalar_loop() {
-        // The overridden bundle paths must be bit-identical to looping
-        // `predict` — the property the lane tier leans on.
-        let mut preds: Vec<Box<dyn DirectionPredictor>> = vec![
-            Box::new(Gshare::new(1024)),
-            Box::new(Bimodal::new(1024)),
-            Box::new(Combining::new(1024)),
-            Box::new(StaticTaken),
-        ];
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for p in &mut preds {
-            for _ in 0..2_000 {
-                let pc = Pc(0x40_0000 + (next() % 64) * 4);
-                let h = next() & 0xfff;
-                let taken = next() % 3 > 0;
-                let d = p.predict(pc, h);
-                p.update(pc, h, taken, d.taken);
-            }
-            for _ in 0..32 {
-                let pc = Pc(0x40_0000 + (next() % 64) * 4);
-                let histories: Vec<u64> = (0..8).map(|_| next() & 0xfff).collect();
-                let scalar: Vec<Prediction> = histories.iter().map(|&h| p.predict(pc, h)).collect();
-                let mut bundled = Vec::new();
-                p.predict_bundle(pc, &histories, &mut bundled);
-                assert_eq!(scalar, bundled, "{} bundle diverged from scalar", p.name());
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use st_bpred::{ConfidenceStats, PredictorStats};
 use st_isa::{Program, WorkloadSpec};
-use st_pipeline::{Core, CoreBuilder, LaneGroup, MemSummary, PerfStats, PipelineConfig};
+use st_pipeline::{Core, CoreBuilder, MemSummary, PerfStats, PipelineConfig};
 use st_power::{savings_pct, EnergyReport, PowerConfig};
 
 use crate::experiments::{self, Experiment};
@@ -65,9 +65,9 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Uses a shared pre-built program image. Lane groups use this to
-    /// amortise program generation: every lane of a group holds the same
-    /// `Arc`, so decode tables and block metadata are resident once.
+    /// Uses a shared pre-built program image. The sweep engine uses this
+    /// to amortise program generation: every point of one workload in a
+    /// batch holds the same `Arc`, so the image is generated once.
     #[must_use]
     pub fn program_shared(mut self, program: Arc<Program>) -> SimulatorBuilder {
         self.program = Some(program);
@@ -208,40 +208,6 @@ impl Simulator {
     #[must_use]
     pub fn core_mut(&mut self) -> &mut Core {
         &mut self.core
-    }
-
-    /// Runs several simulators as one lockstep [`LaneGroup`] on the calling
-    /// thread and returns their reports in input order.
-    ///
-    /// Each simulator keeps its own instruction budget, so lanes may finish
-    /// at different times (early finishers park). Reports are bit-identical
-    /// to running each simulator solo via [`Simulator::run`]; the payoff is
-    /// throughput — lanes of one group usually share a program image (built
-    /// with [`SimulatorBuilder::program_shared`]), amortising generation
-    /// cost and keeping the cycle loop's working set hot across points.
-    #[must_use]
-    pub fn run_lanes(sims: Vec<Simulator>) -> Vec<SimReport> {
-        let budgets: Vec<u64> = sims.iter().map(|s| s.max_instructions).collect();
-        let mut meta = Vec::with_capacity(sims.len());
-        let mut cores = Vec::with_capacity(sims.len());
-        for s in sims {
-            meta.push((s.workload_name, s.experiment_id, s.experiment_label));
-            cores.push(s.core);
-        }
-        let results = LaneGroup::new(cores).run(&budgets);
-        meta.into_iter()
-            .zip(results)
-            .map(|((workload, experiment, label), r)| SimReport {
-                workload,
-                experiment,
-                label,
-                perf: r.perf,
-                energy: r.energy,
-                bpred: r.bpred,
-                conf: r.conf,
-                mem: r.mem,
-            })
-            .collect()
     }
 }
 
@@ -415,31 +381,5 @@ mod tests {
     #[should_panic(expected = "needs a workload or a program")]
     fn builder_requires_input() {
         let _ = Simulator::builder().build();
-    }
-
-    #[test]
-    fn run_lanes_matches_solo_runs() {
-        let program = Arc::new(workload(7).generate());
-        let exps = [
-            experiments::baseline(),
-            experiments::c2(),
-            experiments::a7(),
-            experiments::oracle_fetch(),
-        ];
-        let build = |e: Experiment, n: u64| {
-            Simulator::builder()
-                .program_shared(Arc::clone(&program))
-                .experiment(e)
-                .max_instructions(n)
-                .build()
-        };
-        // Divergent budgets exercise early parking.
-        let budgets = [8_000u64, 3_000, 8_000, 1_000];
-        let solo: Vec<SimReport> =
-            exps.iter().zip(budgets).map(|(e, n)| build(e.clone(), n).run()).collect();
-        let lanes = Simulator::run_lanes(
-            exps.iter().zip(budgets).map(|(e, n)| build(e.clone(), n)).collect(),
-        );
-        assert_eq!(solo, lanes, "lane reports must be bit-identical to solo reports");
     }
 }

