@@ -245,18 +245,21 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<Reply, Cl
         .ok_or_else(|| ClientError(format!("sweep service address {addr} resolves to nothing")))?;
     let mut stream = TcpStream::connect_timeout(&socket_addr, HEAD_TIMEOUT)
         .map_err(|e| ClientError(format!("cannot connect to sweep service at {addr}: {e}")))?;
+    // Nagle off: the request goes out as one write, and nothing should
+    // wait on a delayed ACK before the server sees it.
     stream
         .set_read_timeout(Some(HEAD_TIMEOUT))
+        .and_then(|()| stream.set_nodelay(true))
         .map_err(|e| ClientError(format!("cannot configure connection to {addr}: {e}")))?;
     // A server rejecting the request early (413 on an oversized body,
     // say) closes its read side while we are still writing; the write
     // fails with a pipe/reset error, but the structured reply we want
     // is usually already on the wire — fall through and read it.
-    let sent = write!(
-        stream,
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
+    let sent = stream.write_all(request.as_bytes());
     if let Err(e) = &sent {
         use std::io::ErrorKind;
         if !matches!(

@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use crate::client;
 use crate::emit;
-use crate::service::{read_request, respond_error, respond_json, serve_connections};
+use crate::service::{read_request, respond_error, respond_json, serve_connections, stream_head};
 use crate::shard::{self, ShardPlan};
 use crate::spec::{SweepPoint, SweepSpec};
 
@@ -603,13 +603,8 @@ impl FleetServer {
         // travels in X-Sweep-Records before any worker is contacted, so
         // the client's truncation check guards fleet failures too.
         let comparisons = emit::baseline_pairing(&points).iter().flatten().count();
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {}\r\nX-Sweep-Records: {}\r\nConnection: close\r\n\r\n",
-            spec.name.replace(['\r', '\n'], " "),
-            points.len(),
-            points.len() + comparisons,
-        )?;
+        let head = stream_head(&spec.name, points.len(), points.len() + comparisons);
+        stream.write_all(head.as_bytes())?;
         match fleet.run_submission(&spec, body, points, priority) {
             Ok(jsonl) => stream.write_all(jsonl.as_bytes()),
             Err(e) => {
@@ -626,7 +621,7 @@ impl FleetServer {
 mod tests {
     use super::*;
     use crate::engine::SweepEngine;
-    use crate::service::{Server, ServiceConfig};
+    use crate::service::{wait_readable, Server, ServiceConfig, ACCEPT_POLL};
 
     /// 2 window sizes x 1 workload x (baseline + C2) = 4 points,
     /// 6 records (4 reports + 2 comparisons).
@@ -712,7 +707,7 @@ mod tests {
             let engine = SweepEngine::new(1);
             while !thread_stop.load(Ordering::SeqCst) {
                 let Ok((mut stream, _)) = listener.accept() else {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_readable(&listener, ACCEPT_POLL);
                     continue;
                 };
                 stream.set_nonblocking(false).expect("blocking stream");

@@ -86,8 +86,9 @@ const MAX_BODY_BYTES: usize = 1 << 20;
 /// no newline cannot grow server memory without bound.
 const MAX_HEAD_BYTES: usize = 64 << 10;
 
-/// How often the accept loop re-checks the shutdown flags while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// The longest the accept loop waits for a connection before it
+/// re-checks the shutdown flags while idle.
+pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// How long a connection may sit idle before its reads give up. Bounds
 /// how long a silent client (e.g. a bare `nc` connection) can delay the
@@ -682,8 +683,9 @@ impl Server {
     pub fn bind(addr: &str, config: &ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // The accept loop polls so it can observe shutdown requests and
-        // SIGINT between (non-blocking) accepts.
+        // The accept loop waits on readiness with a timeout so it can
+        // observe shutdown requests and SIGINT between (non-blocking)
+        // accepts.
         listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
@@ -724,12 +726,15 @@ impl Server {
     }
 }
 
-/// The accept-poll-drain loop shared by [`Server`] and the fleet
+/// The accept-wait-drain loop shared by [`Server`] and the fleet
 /// coordinator ([`crate::fleet::FleetServer`]): accepts until `shutdown`
 /// (or SIGINT) is raised, hands each connection to `handle` on its own
 /// scoped thread, then waits for every handler to finish before
-/// returning — the graceful drain. A panicking handler (a simulator bug
-/// surfacing mid-stream) is caught and logged, never fatal.
+/// returning — the graceful drain. While idle it sleeps in
+/// [`wait_readable`], so a connection is accepted as soon as it arrives
+/// and the flags are re-checked at least every [`ACCEPT_POLL`]. A
+/// panicking handler (a simulator bug surfacing mid-stream) is caught
+/// and logged, never fatal.
 pub(crate) fn serve_connections(
     listener: &TcpListener,
     shutdown: &AtomicBool,
@@ -739,16 +744,18 @@ pub(crate) fn serve_connections(
         while !shutdown.load(Ordering::SeqCst) && !SIGINT_RECEIVED.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    // The listener is non-blocking for the poll loop;
+                    // The listener is non-blocking for the accept loop;
                     // connection I/O itself must block normally — but
                     // with timeouts, so no silent or vanished client
-                    // can hold the graceful-shutdown drain hostage. A
-                    // socket that rejects its options is dropped, never
-                    // fatal.
+                    // can hold the graceful-shutdown drain hostage.
+                    // Nagle is off: a short reply head must not sit in
+                    // the send buffer waiting for an ACK. A socket that
+                    // rejects its options is dropped, never fatal.
                     if stream
                         .set_nonblocking(false)
                         .and_then(|()| stream.set_read_timeout(Some(READ_TIMEOUT)))
                         .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
+                        .and_then(|()| stream.set_nodelay(true))
                         .is_err()
                     {
                         continue;
@@ -764,7 +771,7 @@ pub(crate) fn serve_connections(
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                    wait_readable(listener, ACCEPT_POLL);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -780,6 +787,46 @@ pub(crate) fn serve_connections(
         // cut mid-record by shutdown.
         Ok(())
     })
+}
+
+/// Sleeps until `listener` has a connection to accept or `timeout` runs
+/// out, whichever comes first. A signal (SIGINT, say) ends the wait
+/// early with `EINTR`; every outcome, errors included, simply returns,
+/// and the caller re-checks its flags and retries `accept`. On
+/// non-Unix platforms this is a plain sleep of `timeout`.
+pub(crate) fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    #[cfg(unix)]
+    {
+        use std::os::unix::io::AsRawFd;
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        #[cfg(target_os = "linux")]
+        type Nfds = std::os::raw::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type Nfds = std::os::raw::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+        }
+        const POLLIN: i16 = 0x1;
+        let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `fd` points to one initialised `pollfd` (matching
+        // `nfds = 1`) that lives across the call; `poll` only writes its
+        // `revents`. A closed or invalid descriptor is reported through
+        // `revents`/`errno`, never undefined behaviour.
+        unsafe {
+            poll(&mut fd, 1, timeout_ms);
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = listener;
+        std::thread::sleep(timeout);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -863,13 +910,34 @@ pub(crate) fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete (Content-Length-delimited) JSON reply.
-pub(crate) fn respond_json(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+/// Writes a complete (Content-Length-delimited) reply, head and body in
+/// one `write_all`.
+fn respond(
+    stream: &mut TcpStream,
+    status: u16,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let reply = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         reason(status),
         body.len(),
+    );
+    stream.write_all(reply.as_bytes())
+}
+
+/// Writes a complete (Content-Length-delimited) JSON reply.
+pub(crate) fn respond_json(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+    respond(stream, status, "application/json", body)
+}
+
+/// The `200` head of a streamed sweep reply (`/submit` on a server or a
+/// fleet coordinator, `/points`): `records` is the exact number of JSONL
+/// lines that follow, so the client can detect a truncated stream.
+pub(crate) fn stream_head(name: &str, points: usize, records: usize) -> String {
+    format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {points}\r\nX-Sweep-Records: {records}\r\nConnection: close\r\n\r\n",
+        name.replace(['\r', '\n'], " "),
     )
 }
 
@@ -909,7 +977,7 @@ fn handle_connection(mut stream: TcpStream, service: &SweepService, shutdown: &A
             shutdown.store(true, Ordering::SeqCst);
             respond_json(&mut stream, 200, "{\"kind\":\"ok\",\"shutting_down\":true}")
         }
-        (method, path @ ("/submit" | "/status" | "/shutdown")) => {
+        (method, path @ ("/submit" | "/points" | "/audit" | "/status" | "/shutdown")) => {
             respond_error(&mut stream, 405, &format!("method {method} not allowed for {path}"))
         }
         (_, path) => respond_error(
@@ -946,13 +1014,8 @@ fn handle_submit(
     // and shared with the streamer.
     let pairing = emit::baseline_pairing(&points);
     let comparisons = pairing.iter().flatten().count();
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {}\r\nX-Sweep-Records: {}\r\nConnection: close\r\n\r\n",
-        spec.name.replace(['\r', '\n'], " "),
-        points.len(),
-        points.len() + comparisons,
-    )?;
+    let head = stream_head(&spec.name, points.len(), points.len() + comparisons);
+    stream.write_all(head.as_bytes())?;
     let mut sink = BufWriter::new(stream);
     service.stream_with_pairing(&points, &pairing, &mut sink)?;
     sink.flush()
@@ -991,13 +1054,7 @@ fn handle_points(
     };
     let fingerprints: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
     let members = crate::shard::ShardPlan::members_in_range(&fingerprints, lo, hi);
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {}\r\nX-Sweep-Records: {}\r\nConnection: close\r\n\r\n",
-        spec.name.replace(['\r', '\n'], " "),
-        points.len(),
-        members.len(),
-    )?;
+    stream.write_all(stream_head(&spec.name, points.len(), members.len()).as_bytes())?;
     let mut sink = BufWriter::new(stream);
     service.stream_points(&points, &members, &mut sink)?;
     sink.flush()
@@ -1025,11 +1082,7 @@ fn handle_audit(stream: &mut TcpStream, service: &SweepService, body: &str) -> s
         findings.len(),
     );
     payload.push_str(&crate::audit::findings_jsonl(&findings));
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len(),
-    )
+    respond(stream, 200, "application/x-ndjson", &payload)
 }
 
 #[cfg(test)]
@@ -1311,6 +1364,31 @@ mod tests {
     }
 
     #[test]
+    fn idle_server_answers_sequential_requests_without_poll_delay() {
+        let config = ServiceConfig { no_cache: true, ..ServiceConfig::default() };
+        let (_, addr, handle) = start(&config);
+        client::status(&addr).expect("warm-up status");
+
+        // Each request finds the accept loop idle. A loop that slept out
+        // a fixed ACCEPT_POLL on every empty accept would make each one
+        // wait most of that interval; a readiness wait answers at once.
+        const REQUESTS: u32 = 50;
+        let t = std::time::Instant::now();
+        for _ in 0..REQUESTS {
+            client::status(&addr).expect("status");
+        }
+        let elapsed = t.elapsed();
+        let bound = ACCEPT_POLL * REQUESTS / 4;
+        assert!(
+            elapsed < bound,
+            "{REQUESTS} status round trips took {elapsed:?} (bound {bound:?})"
+        );
+
+        client::shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean shutdown");
+    }
+
+    #[test]
     fn bad_requests_get_structured_errors() {
         let config = ServiceConfig { no_cache: true, ..ServiceConfig::default() };
         let (_, addr, handle) = start(&config);
@@ -1334,6 +1412,11 @@ mod tests {
         assert!(reply.starts_with("HTTP/1.1 404"), "{reply}");
         assert!(reply.contains("\"kind\":\"error\""), "{reply}");
         let reply = raw("GET /submit HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 405"), "{reply}");
+        let reply = raw("DELETE /audit HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 405"), "{reply}");
+        assert!(reply.contains("method DELETE not allowed for /audit"), "{reply}");
+        let reply = raw("PUT /points HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 405"), "{reply}");
         let reply = raw("garbage\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");

@@ -1,7 +1,9 @@
 //! Paper-shape regression tests: the qualitative results of the paper must
-//! hold on the calibrated workloads. These are the claims EXPERIMENTS.md
-//! records quantitatively; run lengths are kept moderate so the suite
-//! stays fast in CI.
+//! hold on the calibrated workloads. Each test checks one published claim
+//! against a band around the paper's number (the band and the paper
+//! section sit on the test itself), so a model change that moves a
+//! result out of the paper's range fails here; run lengths are kept
+//! moderate so the suite stays fast in CI.
 
 use selective_throttling::core::{compare, experiments, Simulator};
 use st_isa::WorkloadSpec;
